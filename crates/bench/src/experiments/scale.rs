@@ -155,19 +155,4 @@ mod tests {
         assert!(out.contains("800"), "{out}");
         assert!(out.contains("peak heap MB"), "{out}");
     }
-
-    #[test]
-    fn watermark_sees_the_population() {
-        disq_trace::watermark_start();
-        let spec = Arc::new(pictures::spec());
-        let mut rng = StdRng::seed_from_u64(1);
-        let pop = Population::sample(Arc::clone(&spec), 2_000, &mut rng).unwrap();
-        let peak = disq_trace::watermark_stop();
-        // The column store alone is n_objects × n_attributes × 8 bytes.
-        let floor = (pop.n_objects() * spec.n_attrs() * 8) as u64;
-        assert!(
-            peak >= floor,
-            "peak {peak} below column-store floor {floor}"
-        );
-    }
 }

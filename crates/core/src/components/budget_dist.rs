@@ -26,10 +26,9 @@
 //!   (`O(n·k³)` per grant). Owns the jitter-rescue ladder, so it is also
 //!   the fallback target.
 //!
-//! Select with `DISQ_SOLVER=dense|incremental|check` (read once per
-//! process) or per-thread via [`with_engine`]. `check` runs both engines
-//! and panics unless the allocations are identical and the objectives
-//! agree to 1e-9 relative — a debugging mode for new statistics regimes.
+//! Incremental is always used; [`with_engine`] forces either engine on
+//! the current thread, which is how the tests and the kernel benches
+//! compare them.
 //!
 //! # Tie-breaking contract
 //!
@@ -46,14 +45,10 @@ use disq_crowd::Money;
 use disq_stats::{Breakdown, EvalWorkspace, GreedyEval, StatsTrio};
 use disq_trace::{Counter, TraceEvent};
 use std::cell::Cell;
-use std::sync::OnceLock;
 
 /// Gains below this are considered numerical noise and stop the greedy
 /// loop (prevents burning budget on zero-signal attributes).
 const MIN_GAIN: f64 = 1e-12;
-
-/// Relative objective agreement demanded by the `check` engine.
-const CHECK_RTOL: f64 = 1e-9;
 
 /// Which implementation prices and applies the greedy grants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,40 +57,29 @@ pub enum SolverEngine {
     Dense,
     /// Rank-1 factor maintenance with dense fallback (default).
     Incremental,
-    /// Run both, assert agreement, return the incremental result.
-    Check,
 }
 
-static ENV_ENGINE: OnceLock<SolverEngine> = OnceLock::new();
-
 thread_local! {
-    static ENGINE_OVERRIDE: Cell<Option<SolverEngine>> = const { Cell::new(None) };
+    static ENGINE: Cell<SolverEngine> = const { Cell::new(SolverEngine::Incremental) };
 }
 
 /// The engine in effect on this thread: the [`with_engine`] override if
-/// inside one, else the process-wide `DISQ_SOLVER` choice (defaulting to
-/// [`SolverEngine::Incremental`]; the variable is read once per process).
+/// inside one, else [`SolverEngine::Incremental`].
 pub fn current_engine() -> SolverEngine {
-    ENGINE_OVERRIDE.with(|c| c.get()).unwrap_or_else(|| {
-        *ENV_ENGINE.get_or_init(|| match std::env::var("DISQ_SOLVER").as_deref() {
-            Ok("dense") => SolverEngine::Dense,
-            Ok("check") => SolverEngine::Check,
-            _ => SolverEngine::Incremental,
-        })
-    })
+    ENGINE.with(Cell::get)
 }
 
 /// Runs `f` with `engine` forced on the current thread (restored on exit,
 /// including by panic). Note the override is thread-local: it does not
 /// propagate into worker threads spawned inside `f`.
 pub fn with_engine<T>(engine: SolverEngine, f: impl FnOnce() -> T) -> T {
-    struct Restore(Option<SolverEngine>);
+    struct Restore(SolverEngine);
     impl Drop for Restore {
         fn drop(&mut self) {
-            ENGINE_OVERRIDE.with(|c| c.set(self.0));
+            ENGINE.with(|c| c.set(self.0));
         }
     }
-    let prev = ENGINE_OVERRIDE.with(|c| c.replace(Some(engine)));
+    let prev = ENGINE.with(|c| c.replace(engine));
     let _restore = Restore(prev);
     f()
 }
@@ -222,30 +206,6 @@ fn find_budget_distribution_inner(
         SolverEngine::Incremental => {
             match incremental_greedy(solver, trio, weights, budget, costs, label) {
                 Ok(result) => Ok(result),
-                Err(breakdown) => {
-                    note_fallback(label, breakdown.reason);
-                    dense_greedy(solver, trio, weights, budget, costs, label)
-                }
-            }
-        }
-        SolverEngine::Check => {
-            match incremental_greedy(solver, trio, weights, budget, costs, label) {
-                Ok((inc_b, inc_obj)) => {
-                    let (dense_b, dense_obj) =
-                        dense_greedy(solver, trio, weights, budget, costs, None)?;
-                    assert_eq!(
-                        inc_b, dense_b,
-                        "solver check: engines allocated differently \
-                         (incremental objective {inc_obj}, dense {dense_obj})"
-                    );
-                    let tol = CHECK_RTOL * dense_obj.abs().max(1.0);
-                    assert!(
-                        (inc_obj - dense_obj).abs() <= tol,
-                        "solver check: objectives disagree: incremental \
-                         {inc_obj} vs dense {dense_obj}"
-                    );
-                    Ok((inc_b, inc_obj))
-                }
                 Err(breakdown) => {
                     note_fallback(label, breakdown.reason);
                     dense_greedy(solver, trio, weights, budget, costs, label)
@@ -578,11 +538,7 @@ mod tests {
     fn exact_ties_go_to_lowest_index_on_every_engine() {
         let t = trio_with(&[(0.6, 1.0, 0.5), (0.6, 1.0, 0.5), (0.6, 1.0, 0.5)]);
         let costs = [cents(0.1), cents(0.1), cents(0.1)];
-        for engine in [
-            SolverEngine::Dense,
-            SolverEngine::Incremental,
-            SolverEngine::Check,
-        ] {
+        for engine in [SolverEngine::Dense, SolverEngine::Incremental] {
             let (b, _) = with_engine(engine, || {
                 // Budget for exactly one question: a three-way exact tie.
                 find_budget_distribution(&t, &[1.0], cents(0.1), &costs)
@@ -663,18 +619,6 @@ mod tests {
     }
 
     #[test]
-    fn check_engine_accepts_agreeing_engines() {
-        let t = correlated_trio(&[(0.8, 1.0, 0.5), (0.5, 1.2, 0.3), (0.4, 0.9, 0.7)], 0.2);
-        let costs = [cents(0.1), cents(0.2), cents(0.15)];
-        let (b, obj) = with_engine(SolverEngine::Check, || {
-            find_budget_distribution(&t, &[1.0], cents(2.0), &costs)
-        })
-        .unwrap();
-        assert!(b.iter().sum::<u32>() > 0);
-        assert!(obj > 0.0);
-    }
-
-    #[test]
     fn solver_reuse_matches_fresh_solver() {
         let t = correlated_trio(&[(0.8, 1.0, 0.5), (0.5, 1.2, 0.3)], 0.2);
         let costs = [cents(0.1), cents(0.1)];
@@ -698,8 +642,8 @@ mod tests {
         let before = current_engine();
         with_engine(SolverEngine::Dense, || {
             assert_eq!(current_engine(), SolverEngine::Dense);
-            with_engine(SolverEngine::Check, || {
-                assert_eq!(current_engine(), SolverEngine::Check);
+            with_engine(SolverEngine::Incremental, || {
+                assert_eq!(current_engine(), SolverEngine::Incremental);
             });
             assert_eq!(current_engine(), SolverEngine::Dense);
         });

@@ -21,4 +21,3 @@ pub mod budgeting;
 pub mod next_attribute;
 pub mod regression;
 pub mod statistics;
-pub mod stats_engine;

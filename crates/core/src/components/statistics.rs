@@ -17,11 +17,10 @@
 //! * `S_c[a] = E[VarEst_k(e.a^(1))]` — the mean per-object answer
 //!   variance.
 
-use super::stats_engine::{current_stats_engine, engine_covariance, engine_variance, StatsEngine};
 use crate::DisqError;
 use disq_crowd::CrowdPlatform;
 use disq_domain::{AttributeId, ObjectId};
-use disq_stats::{var_est_k, OnlineMoments, StatsTrio};
+use disq_stats::{streaming_covariance, streaming_variance, var_est_k, OnlineMoments, StatsTrio};
 
 /// One collected example object.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,14 +103,14 @@ impl StatisticsCollector {
 
     /// Empirical variance of a target's true value over its example set.
     ///
-    /// Always computed with the canonical batch formula, *not* the
-    /// engine-selected one: this value escapes preprocessing as the error
-    /// weights `ω_t = 1/Var(a_t)` in [`crate::PreprocessOutput`], and
-    /// output-escaping floats must be engine-independent for the
-    /// byte-identity contract (`tests/stats_engines.rs`). Everything the
-    /// engines *are* allowed to perturb stays behind integerizing
-    /// decisions. The example set is N₁-sized, so the two-pass scan costs
-    /// nothing at population scale.
+    /// Always computed with the two-pass batch formula, *not* the
+    /// streaming one the trio uses: this value escapes preprocessing as
+    /// the error weights `ω_t = 1/Var(a_t)` in [`crate::PreprocessOutput`]
+    /// and so reaches the experiment tables, which must stay
+    /// byte-identical. The streaming co-moments agree with the batch
+    /// formulas only to round-off, which is safe solely behind
+    /// integerizing decisions. The example set is N₁-sized, so the
+    /// two-pass scan costs nothing at population scale.
     pub fn target_variance(&self, target: usize) -> f64 {
         let values: Vec<f64> = self
             .examples
@@ -167,7 +166,7 @@ impl StatisticsCollector {
             for q in (p + 1)..m {
                 let xs: Vec<f64> = cells.iter().map(|c| c[p]).collect();
                 let ys: Vec<f64> = cells.iter().map(|c| c[q]).collect();
-                total += engine_covariance(&xs, &ys);
+                total += streaming_covariance(&xs, &ys);
                 pairs += 1;
             }
         }
@@ -224,7 +223,7 @@ impl StatisticsCollector {
         // Own variance and S_c first — the covariance coherence clamps
         // below need the refreshed variance.
         let avgs: Vec<f64> = self.answers[idx].iter().filter_map(avg).collect();
-        let raw_var = engine_variance(&avgs);
+        let raw_var = streaming_variance(&avgs);
         let cells: Vec<&Vec<f64>> = self.answers[idx].iter().flatten().collect();
         if !cells.is_empty() {
             let s_c = cells.iter().map(|a| var_est_k(a)).sum::<f64>() / cells.len() as f64;
@@ -257,7 +256,7 @@ impl StatisticsCollector {
                 }
             }
             if xs.len() >= 2 {
-                let cov = engine_covariance(&xs, &ys);
+                let cov = streaming_covariance(&xs, &ys);
                 let se = covariance_se(&xs, &ys);
                 let shrunk = cov.signum() * (cov.abs() - so_shrinkage * se).max(0.0);
                 trio.set_s_o(t, idx, clamp_cov(shrunk, own_var, self.target_variance(t)))?;
@@ -278,7 +277,7 @@ impl StatisticsCollector {
                 }
             }
             if xs.len() >= 2 {
-                let cov = engine_covariance(&xs, &ys);
+                let cov = streaming_covariance(&xs, &ys);
                 trio.set_s_a(idx, other, clamp_cov(cov, own_var, trio.s_a(other, other)))?;
             }
         }
@@ -330,7 +329,7 @@ impl StatisticsCollector {
             if xs.len() < 2 {
                 s_o.push(f64::NAN);
             } else {
-                let cov = engine_covariance(&xs, &ys);
+                let cov = streaming_covariance(&xs, &ys);
                 let se = covariance_se(&xs, &ys);
                 let shrunk = cov.signum() * (cov.abs() - so_shrinkage * se).max(0.0);
                 s_o.push(shrunk);
@@ -353,13 +352,13 @@ impl StatisticsCollector {
             cov_with.push(if xs.len() < 2 {
                 0.0
             } else {
-                engine_covariance(&xs, &ys)
+                streaming_covariance(&xs, &ys)
             });
         }
 
         // Own variance (bias-corrected) and S_c.
         let avgs: Vec<f64> = self.answers[new_idx].iter().filter_map(avg).collect();
-        let raw_var = engine_variance(&avgs);
+        let raw_var = streaming_variance(&avgs);
         let var_ests: Vec<f64> = self.answers[new_idx]
             .iter()
             .filter_map(|c| c.as_ref().map(|a| var_est_k(a)))
@@ -416,25 +415,13 @@ fn covariance_se(xs: &[f64], ys: &[f64]) -> f64 {
     }
     let mx = xs.iter().sum::<f64>() / n as f64;
     let my = ys.iter().sum::<f64>() / n as f64;
-    let product_var = match current_stats_engine() {
-        StatsEngine::Batch => {
-            let products: Vec<f64> = xs
-                .iter()
-                .zip(ys)
-                .map(|(&x, &y)| (x - mx) * (y - my))
-                .collect();
-            disq_stats::sample_variance(&products)
-        }
-        StatsEngine::Stream => {
-            // Same quantity without materializing the product vector:
-            // one Welford pass over the products computed on the fly.
-            let mut acc = OnlineMoments::new();
-            for (&x, &y) in xs.iter().zip(ys) {
-                acc.push((x - mx) * (y - my));
-            }
-            acc.variance()
-        }
-    };
+    // One Welford pass over the products computed on the fly, without
+    // materializing the product vector.
+    let mut acc = OnlineMoments::new();
+    for (&x, &y) in xs.iter().zip(ys) {
+        acc.push((x - mx) * (y - my));
+    }
+    let product_var = acc.variance();
     (product_var / n as f64).sqrt()
 }
 

@@ -1,21 +1,20 @@
-//! Versioned on-disk store for complete [`PreprocessOutput`]s.
+//! Versioned on-disk store for complete [`PreprocessOutput`]s — the one
+//! plan serialization.
 //!
-//! [`crate::plan_io`] persists the bare `(b, l)` plan in a text format
-//! for humans and version control; the serving layer needs more — the
-//! statistics trio, the budget distribution and the diagnostics all ride
-//! along so a restarted daemon warm-starts with *exactly* the state the
+//! The `(b, l)` plan travels together with the statistics trio, the
+//! budget distribution and the diagnostics, so a restarted daemon (or
+//! any later online process) warm-starts with *exactly* the state the
 //! original `preprocess` run produced. This module serializes the full
 //! output through the hand-rolled bit-exact JSON layer
 //! ([`disq_trace::json`]) under a version-stamped envelope keyed by
 //! `(domain, attribute, seed)`.
 //!
 //! **Byte-identity contract**: `output_to_json ∘ output_from_json ∘
-//! output_to_json` is the identity on strings. Finite floats use the
-//! shortest round-trip decimal ([`disq_trace::json::write_f64`], which
-//! keeps `-0.0` distinct); non-finite floats — the trio holds `NaN` for
-//! never-measured entries — are encoded as `"bits:<16 hex digits>"`
-//! strings so even NaN payloads survive (the JSON parser rejects bare
-//! non-finite literals by design).
+//! output_to_json` is the identity on strings. Floats use the exact
+//! codec shared with traces ([`disq_trace::json::write_f64_exact`]):
+//! the shortest round-trip decimal when finite (keeping `-0.0`
+//! distinct), and a `"bits:<16 hex digits>"` string otherwise — the trio
+//! holds `NaN` for never-measured entries, and even NaN payloads survive.
 
 use crate::{
     DisqError, EvaluationPlan, PlannedAttribute, PreprocessOutput, PreprocessStats,
@@ -49,21 +48,13 @@ pub struct PlanMeta {
     pub seed: u64,
 }
 
-fn write_f64_field(out: &mut String, v: f64) {
-    if v.is_finite() {
-        json::write_f64(out, v);
-    } else {
-        let _ = write!(out, "\"bits:{:016x}\"", v.to_bits());
-    }
-}
-
 fn write_f64_slice(out: &mut String, xs: &[f64]) {
     out.push('[');
     for (i, &x) in xs.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        write_f64_field(out, x);
+        json::write_f64_exact(out, x);
     }
     out.push(']');
 }
@@ -110,11 +101,11 @@ pub fn output_to_json(output: &PreprocessOutput, meta: &PlanMeta) -> String {
         let _ = write!(s, "{{\"target\":{},\"label\":", r.target.0);
         json::write_str(&mut s, &r.label);
         s.push_str(",\"intercept\":");
-        write_f64_field(&mut s, r.intercept);
+        json::write_f64_exact(&mut s, r.intercept);
         s.push_str(",\"coefficients\":");
         write_f64_slice(&mut s, &r.coefficients);
         s.push_str(",\"training_mse\":");
-        write_f64_field(&mut s, r.training_mse);
+        json::write_f64_exact(&mut s, r.training_mse);
         s.push('}');
     }
     s.push_str("]},\"trio\":{\"s_o\":[");
@@ -170,23 +161,9 @@ fn field<'a>(j: &'a Json, key: &str, ctx: &str) -> Result<&'a Json, DisqError> {
         .ok_or_else(|| DisqError::Config(format!("plan store: missing '{key}' in {ctx}")))
 }
 
-fn as_f64_exact(j: &Json, ctx: &str) -> Result<f64, DisqError> {
-    match j {
-        Json::Num(_) => Ok(j.as_f64().unwrap_or(f64::NAN)),
-        Json::Str(s) => {
-            let hex = s.strip_prefix("bits:").ok_or_else(|| {
-                DisqError::Config(format!("plan store: bad float '{s}' in {ctx}"))
-            })?;
-            u64::from_str_radix(hex, 16)
-                .map(f64::from_bits)
-                .map_err(|_| {
-                    DisqError::Config(format!("plan store: bad float bits '{s}' in {ctx}"))
-                })
-        }
-        _ => Err(DisqError::Config(format!(
-            "plan store: expected a float in {ctx}"
-        ))),
-    }
+fn as_f64(j: &Json, ctx: &str) -> Result<f64, DisqError> {
+    j.as_f64_exact()
+        .ok_or_else(|| DisqError::Config(format!("plan store: expected a float in {ctx}")))
 }
 
 fn as_u64(j: &Json, ctx: &str) -> Result<u64, DisqError> {
@@ -206,10 +183,7 @@ fn as_arr<'a>(j: &'a Json, ctx: &str) -> Result<&'a [Json], DisqError> {
 }
 
 fn f64_vec(j: &Json, ctx: &str) -> Result<Vec<f64>, DisqError> {
-    as_arr(j, ctx)?
-        .iter()
-        .map(|x| as_f64_exact(x, ctx))
-        .collect()
+    as_arr(j, ctx)?.iter().map(|x| as_f64(x, ctx)).collect()
 }
 
 fn str_vec(j: &Json, ctx: &str) -> Result<Vec<String>, DisqError> {
@@ -257,9 +231,9 @@ pub fn output_from_json(text: &str) -> Result<(PreprocessOutput, PlanMeta), Disq
         regressions.push(TargetRegression {
             target: AttributeId(as_u64(field(r, "target", "regression")?, "target")? as usize),
             label: as_str(field(r, "label", "regression")?, "label")?,
-            intercept: as_f64_exact(field(r, "intercept", "regression")?, "intercept")?,
+            intercept: as_f64(field(r, "intercept", "regression")?, "intercept")?,
             coefficients: f64_vec(field(r, "coefficients", "regression")?, "coefficients")?,
-            training_mse: as_f64_exact(field(r, "training_mse", "regression")?, "training_mse")?,
+            training_mse: as_f64(field(r, "training_mse", "regression")?, "training_mse")?,
         });
     }
 

@@ -13,9 +13,8 @@
 //!
 //! The streaming results agree with the two-pass batch formulas
 //! (`covariance`, `sample_variance`) to floating-point round-off, not bit
-//! for bit; the property tests in `proptests` pin the tolerance, and the
-//! engine-equivalence suite (`tests/stats_engines.rs` at the workspace
-//! root) proves the difference is invisible to every experiment table.
+//! for bit; the property tests in `proptests` pin the tolerance, with
+//! the batch formulas as the reference.
 //!
 //! [`OnlineCovariance`]: crate::OnlineCovariance
 

@@ -103,6 +103,10 @@ fn main() -> ExitCode {
             "worker_profile",
             "worker_stats",
         ] {
+            if !TraceEvent::KINDS.contains(&required) {
+                eprintln!("trace_check: required kind {required} is not an event kind");
+                return ExitCode::FAILURE;
+            }
             if !counts.contains_key(required) {
                 eprintln!("trace_check: {path} has no {required} events");
                 return ExitCode::FAILURE;

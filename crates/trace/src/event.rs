@@ -2,891 +2,705 @@
 //!
 //! One [`TraceEvent`] is one line of a trace: a decision or phase
 //! transition the DisQ pipeline took. Events serialize to single-line
-//! JSON objects tagged `"event"` and parse back exactly (floats use
-//! Rust's shortest round-trip formatting; non-finite values encode as
-//! `null` and decode as NaN).
+//! JSON objects tagged `"event"` and parse back exactly.
+//!
+//! # Schema
+//!
+//! Every event kind and nested record is declared once, in the table at
+//! the `schema!` invocation below: its tag, then its fields in JSON key
+//! order, with their docs. The macro generates the types,
+//! [`TraceEvent::name`], [`TraceEvent::KINDS`], the encoder and the
+//! decoder from that one declaration, so the two directions cannot
+//! drift apart. How each field type reads and writes is the `Field`
+//! trait's job. Floats use the exact codec shared with the plan store
+//! ([`json::write_f64_exact`]): the shortest round-trip decimal when
+//! finite, `"bits:<16 hex digits>"` otherwise. An event field declared
+//! `name: T = default` is omitted when it equals the default and reads
+//! as the default when absent. Legacy traces still parse: `null` floats
+//! read as NaN, and a `span_start` without `req` reads as `req = 0`.
 
-use crate::json::{self, write_f64, write_str, Json};
+use crate::json::{self, Json};
 use std::fmt::Write as _;
 
-/// Per-candidate term of one dismantle-target choice: the Eq. 8/9 score
-/// `Pr(new | a_j) · Σ_t ω_t [G − L]` and its factors.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CandidateScore {
-    /// Pool index of the candidate attribute.
-    pub index: u32,
-    /// `Pr(new | a_j) = 1/(n_j + 2)` (Eq. 4).
-    pub pr_new: f64,
-    /// The weighted gain-minus-loss sum `Σ_t ω_t [G − L]`.
-    pub value: f64,
-    /// The product actually ranked.
-    pub score: f64,
+/// How one field type of the schema is written to and read from JSON.
+pub(crate) trait Field: Sized {
+    /// Appends the JSON encoding of `self`.
+    fn encode(&self, out: &mut String);
+    /// Decodes member `name` of an object (`None` when the key is
+    /// absent); `ctx` names the object in error messages.
+    fn decode(j: Option<&Json>, ctx: &str, name: &str) -> Result<Self, String>;
 }
 
-/// Per-question-kind component of a phase's spend delta.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KindSpend {
-    /// Question kind label (the ledger's display name).
-    pub kind: String,
-    /// Questions of that kind asked during the phase.
-    pub questions: u64,
-    /// Milli-cents spent on that kind during the phase.
-    pub millicents: i64,
+fn missing(ctx: &str, what: &str, name: &str) -> String {
+    format!("{ctx}: missing {what} {name:?}")
 }
 
-/// Per-attribute slice of a [`TraceEvent::QueryAudit`]: how one planned
-/// attribute's answer stream behaved against the plan's assumptions.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AttrAudit {
-    /// Planned attribute label.
-    pub label: String,
-    /// Questions per object the plan allocated (`b(a)`).
-    pub questions: u32,
-    /// Answer batches observed (= objects estimated).
-    pub batches: u64,
-    /// Raw answers asked across all batches.
-    pub answers: u64,
-    /// Answers the spam filter discarded.
-    pub dropped: u64,
-    /// Whole-batch rejections (estimator fell back to raw answers).
-    pub fallbacks: u64,
-    /// The trio's planned per-answer variance `S_c[a]`.
-    pub planned_sc: f64,
-    /// Mean within-batch sample variance of the answers actually
-    /// averaged (NaN when no batch kept ≥ 2 answers).
-    pub realized_sc: f64,
+impl Field for u64 {
+    fn encode(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+    fn decode(j: Option<&Json>, ctx: &str, name: &str) -> Result<Self, String> {
+        j.and_then(Json::as_u64)
+            .ok_or_else(|| missing(ctx, "integer", name))
+    }
 }
 
-/// One structured trace record.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceEvent {
-    /// A preprocessing run began.
-    RunStart {
-        /// Free-form run label (domain / query description).
-        label: String,
-        /// The algorithm seed.
-        seed: u64,
-    },
-    /// A `B_prc` phase boundary: ledger delta since the previous boundary.
-    PhaseSpend {
-        /// Phase that just ended (`examples`, `dismantle`, `refine`,
-        /// `regression`).
-        phase: String,
-        /// Cumulative ledger spend at the boundary, in milli-cents.
-        spent_millicents: i64,
-        /// Spend attributable to this phase, in milli-cents.
-        delta_millicents: i64,
-        /// Questions asked during this phase.
-        delta_questions: u64,
-        /// Non-zero per-kind breakdown of the delta.
-        by_kind: Vec<KindSpend>,
-    },
-    /// One `GetNextAttribute` decision with every candidate's score.
-    DismantleChoice {
-        /// Chosen pool index, or `None` when no candidate had positive
-        /// expected value (a stopping signal).
-        chosen: Option<u32>,
-        /// Scores of all scored candidates (empty under the `Random`
-        /// strategy, which skips scoring).
-        scores: Vec<CandidateScore>,
-    },
-    /// An SPRT verification dialogue concluded.
-    SprtVerdict {
-        /// The crowd-suggested attribute text under verification.
-        candidate: String,
-        /// Pool attribute it was suggested for (raw attribute id).
-        parent: u32,
-        /// `true` = accepted as relevant.
-        accepted: bool,
-        /// Worker answers the test consumed before deciding.
-        samples: u32,
-    },
-    /// Statistics-trio growth after an attribute was measured.
-    TrioSize {
-        /// Query targets tracked.
-        n_targets: u32,
-        /// Attributes currently in the trio.
-        n_attrs: u32,
-    },
-    /// One grant of the greedy budget-distribution loop.
-    BudgetStep {
-        /// Which top-level distribution call this belongs to (`main`,
-        /// `refine`, `fallback`).
-        label: String,
-        /// Pool index granted one more question.
-        attr: u32,
-        /// That attribute's question count after the grant.
-        question: u32,
-        /// Objective value after the grant.
-        objective: f64,
-    },
-    /// A finished greedy budget distribution.
-    BudgetChosen {
-        /// Same labels as [`TraceEvent::BudgetStep`].
-        label: String,
-        /// Final questions per pool attribute.
-        allocation: Vec<u32>,
-        /// Final objective value.
-        objective: f64,
-    },
-    /// A per-target regression was fitted.
-    RegressionFit {
-        /// Target index within the plan.
-        target: u32,
-        /// Target label.
-        label: String,
-        /// Realized training MSE (the plan-validation residual).
-        training_mse: f64,
-        /// Training rows the fit used.
-        rows: u32,
-    },
-    /// The online spam filter rejected an entire answer batch and the
-    /// estimator fell back to the unfiltered answers.
-    SpamFallback {
-        /// Object being estimated.
-        object: u64,
-        /// Attribute whose batch was wiped (raw attribute id).
-        attr: u32,
-        /// Batch size that was entirely rejected.
-        answers: u32,
-    },
-    /// The incremental (Sherman–Morrison) budget-distribution engine
-    /// hit a numerical breakdown and the call restarted on the dense
-    /// refactorize-per-candidate engine. Rare by construction — it fires
-    /// exactly where the dense engine's jitter rescue ladder would.
-    SolverFallback {
-        /// Which solve fell back: a top-level distribution label
-        /// (`main`, `refine`, `fallback`) or `probe` for a
-        /// next-attribute loss probe.
-        label: String,
-        /// Which incremental step broke down (e.g. `schur`,
-        /// `sherman_morrison`, `downdate`, `non_finite`).
-        reason: String,
-    },
-    /// One target's Err(b) calibration sample, emitted by the bench
-    /// runner after scoring a plan against ground truth: the paper's
-    /// predicted plan error joined with the realized per-object MSE.
-    /// Self-contained (no cross-event join key needed) because parallel
-    /// sweeps interleave events from many runs in one JSONL stream.
-    EvalCalibration {
-        /// Cell identity: domain, query, strategy and budgets.
-        label: String,
-        /// Repetition seed of the run.
-        seed: u64,
-        /// Target attribute label.
-        target: String,
-        /// `Err(b) = Var(a_t) − S_oᵀ(S_a + Diag(S_c/b))⁻¹S_o` at the
-        /// chosen budget (NaN when the strategy has no trio, e.g.
-        /// NaiveAverage).
-        predicted_mse: f64,
-        /// The plan regression's realized training MSE.
-        training_mse: f64,
-        /// Realized per-object MSE against bench ground truth.
-        realized_mse: f64,
-        /// Held-out objects the realized MSE averaged over.
-        n_objects: u32,
-    },
-    /// The online spam filter discarded at least one answer from a
-    /// batch: the filter's decision statistics, surfaced so error
-    /// attribution can see *why* answers were dropped.
-    SpamDecision {
-        /// Object being estimated.
-        object: u64,
-        /// Attribute whose batch was filtered (raw attribute id).
-        attr: u32,
-        /// Raw batch size.
-        answers: u32,
-        /// Answers that survived the filter.
-        kept: u32,
-        /// Batch median the filter centred on.
-        median: f64,
-        /// Scaled median absolute deviation (the filter's spread
-        /// estimate; 0 when a majority answered identically).
-        mad: f64,
-    },
-    /// One query target's full error-attribution ledger, assembled by
-    /// the bench runner after scoring a plan against ground truth. The
-    /// realized per-object MSE decomposes as
-    /// `noise_mse + model_mse + cross_mse` (exact per-object algebra:
-    /// residual = crowd-noise error through the regression + the
-    /// regression's own model error on true attribute values).
-    /// Self-contained like [`TraceEvent::EvalCalibration`].
-    QueryAudit {
-        /// Process-unique audit id correlating this ledger with its
-        /// [`TraceEvent::ObjectAudit`] rows. `(label, seed, target)` is
-        /// *not* unique — sweeps rerun the same cell identity per budget
-        /// point, possibly concurrently, interleaving their rows.
-        query: u64,
-        /// Cell identity: domain / query / strategy.
-        label: String,
-        /// Repetition seed of the run.
-        seed: u64,
-        /// Target attribute label.
-        target: String,
-        /// Held-out objects audited.
-        n_objects: u32,
-        /// Predicted `Err(b)` at the chosen budget (Eq. 2).
-        predicted_mse: f64,
-        /// The plan regression's training MSE.
-        training_mse: f64,
-        /// Realized per-object MSE against ground truth.
-        realized_mse: f64,
-        /// Mean squared crowd-noise error: `(ŷ − ỹ)²` where `ỹ` is the
-        /// regression applied to *true* attribute values.
-        noise_mse: f64,
-        /// Mean squared model error: `(ỹ − y)²`.
-        model_mse: f64,
-        /// Twice the mean noise×model cross term (completes the exact
-        /// decomposition; near zero when the two are independent).
-        cross_mse: f64,
-        /// Predicted `Err(b)` at an effectively unbounded budget — the
-        /// error floor the regression could reach with infinite answers.
-        error_floor: f64,
-        /// `predicted_mse − error_floor`: the loss attributable to
-        /// truncating the per-object budget at `B_obj`.
-        budget_truncation: f64,
-        /// Nominal two-sided confidence level of the per-object
-        /// intervals (e.g. 0.95).
-        ci_level: f64,
-        /// Fraction of audited objects whose true value fell inside
-        /// `estimate ± z·√predicted_mse`.
-        ci_coverage: f64,
-        /// Per-planned-attribute answer-stream audit.
-        attrs: Vec<AttrAudit>,
-    },
-    /// One audited object's residual and confidence interval (the
-    /// per-object grain under a [`TraceEvent::QueryAudit`]).
-    ObjectAudit {
-        /// The owning [`TraceEvent::QueryAudit`]'s audit id.
-        query: u64,
-        /// Cell identity: domain / query / strategy.
-        label: String,
-        /// Repetition seed of the run.
-        seed: u64,
-        /// Target attribute label.
-        target: String,
-        /// Audited object.
-        object: u64,
-        /// Ground-truth target value.
-        truth: f64,
-        /// The plan's estimate.
-        estimate: f64,
-        /// `estimate − truth`.
-        residual: f64,
-        /// Crowd-noise component of the residual (`ŷ − ỹ`).
-        noise_err: f64,
-        /// Model component of the residual (`ỹ − y`).
-        model_err: f64,
-        /// Lower edge of the predicted confidence interval.
-        ci_lo: f64,
-        /// Upper edge of the predicted confidence interval.
-        ci_hi: f64,
-        /// Whether the truth fell inside `[ci_lo, ci_hi]`.
-        in_ci: bool,
-    },
-    /// Final state of one drift detector after an audited run: the
-    /// always-emitted companion of [`TraceEvent::DriftDetected`] (which
-    /// only fires on alarms), so coverage gates can require it.
-    DriftUpdate {
-        /// Cell identity: domain / query / strategy.
-        label: String,
-        /// Monitored attribute label.
-        attr: String,
-        /// Monitored metric: `answer_var` or `spam_rate`.
-        metric: String,
-        /// Planned reference value the stream is compared against.
-        reference: f64,
-        /// EWMA of the standardized deviations from the reference.
-        ewma: f64,
-        /// Current two-sided CUSUM score (max of both sides, in sigmas).
+impl Field for u32 {
+    fn encode(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+    fn decode(j: Option<&Json>, ctx: &str, name: &str) -> Result<Self, String> {
+        u64::decode(j, ctx, name)?
+            .try_into()
+            .map_err(|_| format!("{ctx}: {name:?} out of range"))
+    }
+}
+
+impl Field for i64 {
+    fn encode(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+    fn decode(j: Option<&Json>, ctx: &str, name: &str) -> Result<Self, String> {
+        j.and_then(Json::as_i64)
+            .ok_or_else(|| missing(ctx, "integer", name))
+    }
+}
+
+impl Field for f64 {
+    fn encode(&self, out: &mut String) {
+        json::write_f64_exact(out, *self);
+    }
+    fn decode(j: Option<&Json>, ctx: &str, name: &str) -> Result<Self, String> {
+        j.and_then(Json::as_f64_exact)
+            .ok_or_else(|| missing(ctx, "number", name))
+    }
+}
+
+impl Field for bool {
+    fn encode(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+    fn decode(j: Option<&Json>, ctx: &str, name: &str) -> Result<Self, String> {
+        j.and_then(Json::as_bool)
+            .ok_or_else(|| missing(ctx, "boolean", name))
+    }
+}
+
+impl Field for String {
+    fn encode(&self, out: &mut String) {
+        json::write_str(out, self);
+    }
+    fn decode(j: Option<&Json>, ctx: &str, name: &str) -> Result<Self, String> {
+        j.and_then(Json::as_str)
+            .map(str::to_string)
+            .ok_or_else(|| missing(ctx, "string", name))
+    }
+}
+
+/// `None` is `null`, so the inner type must never encode as `null`.
+impl<T: Field> Field for Option<T> {
+    fn encode(&self, out: &mut String) {
+        match self {
+            Some(v) => v.encode(out),
+            None => out.push_str("null"),
+        }
+    }
+    fn decode(j: Option<&Json>, ctx: &str, name: &str) -> Result<Self, String> {
+        match j {
+            Some(Json::Null) => Ok(None),
+            j => T::decode(j, ctx, name).map(Some),
+        }
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn encode(&self, out: &mut String) {
+        out.push('[');
+        for (i, v) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            v.encode(out);
+        }
+        out.push(']');
+    }
+    fn decode(j: Option<&Json>, ctx: &str, name: &str) -> Result<Self, String> {
+        j.and_then(Json::as_arr)
+            .ok_or_else(|| missing(ctx, "array", name))?
+            .iter()
+            .map(|v| T::decode(Some(v), ctx, name))
+            .collect()
+    }
+}
+
+/// Writes the members of one JSON object in declaration order.
+struct Members<'a> {
+    out: &'a mut String,
+    /// `{` before the first member, `,` after it.
+    sep: char,
+}
+
+impl Members<'_> {
+    fn put<T: Field>(&mut self, name: &str, value: &T) {
+        self.out.push(self.sep);
+        self.sep = ',';
+        self.out.push('"');
+        self.out.push_str(name);
+        self.out.push_str("\":");
+        value.encode(self.out);
+    }
+
+    fn close(self) {
+        self.out.push('}');
+    }
+}
+
+/// Declares the record structs and the [`TraceEvent`] enum, and derives
+/// their JSON codec, from one field table (see the module docs).
+macro_rules! schema {
+    (
+        $(#[$emeta:meta])*
+        enum TraceEvent {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident = $tag:literal {
+                    $( $(#[$fmeta:meta])* $f:ident : $t:ty $(= $d:expr)? ),* $(,)?
+                }
+            ),* $(,)?
+        }
+        $(
+            $(#[$rmeta:meta])*
+            struct $record:ident {
+                $( $(#[$rfmeta:meta])* $rf:ident : $rt:ty ),+ $(,)?
+            }
+        )*
+    ) => {
+        $(
+            $(#[$rmeta])*
+            #[derive(Debug, Clone, PartialEq)]
+            pub struct $record {
+                $( $(#[$rfmeta])* pub $rf: $rt, )+
+            }
+
+            impl Field for $record {
+                fn encode(&self, out: &mut String) {
+                    let mut m = Members { out, sep: '{' };
+                    $( m.put(stringify!($rf), &self.$rf); )+
+                    m.close();
+                }
+                fn decode(j: Option<&Json>, ctx: &str, name: &str) -> Result<Self, String> {
+                    let j = j
+                        .filter(|j| matches!(j, Json::Obj(_)))
+                        .ok_or_else(|| missing(ctx, "object", name))?;
+                    Ok($record { $( $rf: schema!(@get j, name, $rf), )+ })
+                }
+            }
+
+            #[cfg(test)]
+            impl tests::Arb for $record {
+                fn arb(rng: &mut proptest::TestRng) -> Self {
+                    $record { $( $rf: tests::Arb::arb(rng), )+ }
+                }
+            }
+        )*
+
+        $(#[$emeta])*
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum TraceEvent {
+            $(
+                $(#[$vmeta])*
+                $variant { $( $(#[$fmeta])* $f: $t, )* },
+            )*
+        }
+
+        impl TraceEvent {
+            /// Every `"event"` tag, in declaration order.
+            pub const KINDS: &'static [&'static str] = &[$($tag),*];
+
+            /// The `"event"` tag of the JSON encoding.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $( TraceEvent::$variant { .. } => $tag, )*
+                }
+            }
+
+            /// Serializes to one line of JSON (no trailing newline).
+            pub fn to_json(&self) -> String {
+                let mut s = String::from("{\"event\":");
+                json::write_str(&mut s, self.name());
+                let mut m = Members { out: &mut s, sep: ',' };
+                match self {
+                    $(
+                        TraceEvent::$variant { $($f),* } => {
+                            $( schema!(@put m, $f, $f $(= $d)?); )*
+                        }
+                    )*
+                }
+                m.close();
+                s
+            }
+
+            /// Decodes an already-parsed JSON object into an event (the
+            /// working half of [`TraceEvent::parse`]; [`crate::TraceReader`]
+            /// calls this directly so it can also read the line's
+            /// timestamp).
+            pub fn from_json(v: &Json) -> Result<TraceEvent, String> {
+                let tag = v
+                    .get("event")
+                    .and_then(Json::as_str)
+                    .ok_or("missing \"event\" tag")?;
+                match tag {
+                    $(
+                        $tag => Ok(TraceEvent::$variant {
+                            $( $f: schema!(@get v, tag, $f $(= $d)?), )*
+                        }),
+                    )*
+                    other => Err(format!("unknown event tag {other:?}")),
+                }
+            }
+
+            /// One event of every kind, in [`TraceEvent::KINDS`] order,
+            /// with every field drawn from `rng`.
+            #[cfg(test)]
+            pub(crate) fn arbitrary_each(rng: &mut proptest::TestRng) -> Vec<TraceEvent> {
+                vec![$( TraceEvent::$variant { $( $f: tests::Arb::arb(rng), )* } ),*]
+            }
+        }
+    };
+    (@put $m:ident, $value:expr, $name:ident) => {
+        $m.put(stringify!($name), $value)
+    };
+    (@put $m:ident, $value:expr, $name:ident = $default:expr) => {
+        if *$value != $default {
+            $m.put(stringify!($name), $value)
+        }
+    };
+    (@get $j:ident, $ctx:expr, $name:ident) => {
+        Field::decode($j.get(stringify!($name)), $ctx, stringify!($name))?
+    };
+    (@get $j:ident, $ctx:expr, $name:ident = $default:expr) => {
+        match $j.get(stringify!($name)) {
+            None => $default,
+            j => Field::decode(j, $ctx, stringify!($name))?,
+        }
+    };
+}
+
+schema! {
+    /// One structured trace record.
+    enum TraceEvent {
+        /// A preprocessing run began.
+        RunStart = "run_start" {
+            /// Free-form run label (domain / query description).
+            label: String,
+            /// The algorithm seed.
+            seed: u64,
+        },
+        /// A `B_prc` phase boundary: ledger delta since the previous boundary.
+        PhaseSpend = "phase_spend" {
+            /// Phase that just ended (`examples`, `dismantle`, `refine`,
+            /// `regression`).
+            phase: String,
+            /// Cumulative ledger spend at the boundary, in milli-cents.
+            spent_millicents: i64,
+            /// Spend attributable to this phase, in milli-cents.
+            delta_millicents: i64,
+            /// Questions asked during this phase.
+            delta_questions: u64,
+            /// Non-zero per-kind breakdown of the delta.
+            by_kind: Vec<KindSpend>,
+        },
+        /// One `GetNextAttribute` decision with every candidate's score.
+        DismantleChoice = "dismantle_choice" {
+            /// Chosen pool index, or `None` when no candidate had positive
+            /// expected value (a stopping signal).
+            chosen: Option<u32>,
+            /// Scores of all scored candidates (empty under the `Random`
+            /// strategy, which skips scoring).
+            scores: Vec<CandidateScore>,
+        },
+        /// An SPRT verification dialogue concluded.
+        SprtVerdict = "sprt_verdict" {
+            /// The crowd-suggested attribute text under verification.
+            candidate: String,
+            /// Pool attribute it was suggested for (raw attribute id).
+            parent: u32,
+            /// `true` = accepted as relevant.
+            accepted: bool,
+            /// Worker answers the test consumed before deciding.
+            samples: u32,
+        },
+        /// Statistics-trio growth after an attribute was measured.
+        TrioSize = "trio_size" {
+            /// Query targets tracked.
+            n_targets: u32,
+            /// Attributes currently in the trio.
+            n_attrs: u32,
+        },
+        /// One grant of the greedy budget-distribution loop.
+        BudgetStep = "budget_step" {
+            /// Which top-level distribution call this belongs to (`main`,
+            /// `refine`, `fallback`).
+            label: String,
+            /// Pool index granted one more question.
+            attr: u32,
+            /// That attribute's question count after the grant.
+            question: u32,
+            /// Objective value after the grant.
+            objective: f64,
+        },
+        /// A finished greedy budget distribution.
+        BudgetChosen = "budget_chosen" {
+            /// Same labels as [`TraceEvent::BudgetStep`].
+            label: String,
+            /// Final questions per pool attribute.
+            allocation: Vec<u32>,
+            /// Final objective value.
+            objective: f64,
+        },
+        /// A per-target regression was fitted.
+        RegressionFit = "regression_fit" {
+            /// Target index within the plan.
+            target: u32,
+            /// Target label.
+            label: String,
+            /// Realized training MSE (the plan-validation residual).
+            training_mse: f64,
+            /// Training rows the fit used.
+            rows: u32,
+        },
+        /// The online spam filter rejected an entire answer batch and the
+        /// estimator fell back to the unfiltered answers.
+        SpamFallback = "spam_fallback" {
+            /// Object being estimated.
+            object: u64,
+            /// Attribute whose batch was wiped (raw attribute id).
+            attr: u32,
+            /// Batch size that was entirely rejected.
+            answers: u32,
+        },
+        /// The incremental (Sherman–Morrison) budget-distribution engine
+        /// hit a numerical breakdown and the call restarted on the dense
+        /// refactorize-per-candidate engine. Rare by construction — it fires
+        /// exactly where the dense engine's jitter rescue ladder would.
+        SolverFallback = "solver_fallback" {
+            /// Which solve fell back: a top-level distribution label
+            /// (`main`, `refine`, `fallback`) or `probe` for a
+            /// next-attribute loss probe.
+            label: String,
+            /// Which incremental step broke down (e.g. `schur`,
+            /// `sherman_morrison`, `downdate`, `non_finite`).
+            reason: String,
+        },
+        /// One target's Err(b) calibration sample, emitted by the bench
+        /// runner after scoring a plan against ground truth: the paper's
+        /// predicted plan error joined with the realized per-object MSE.
+        /// Self-contained (no cross-event join key needed) because parallel
+        /// sweeps interleave events from many runs in one JSONL stream.
+        EvalCalibration = "eval_calibration" {
+            /// Cell identity: domain, query, strategy and budgets.
+            label: String,
+            /// Repetition seed of the run.
+            seed: u64,
+            /// Target attribute label.
+            target: String,
+            /// `Err(b) = Var(a_t) − S_oᵀ(S_a + Diag(S_c/b))⁻¹S_o` at the
+            /// chosen budget (NaN when the strategy has no trio, e.g.
+            /// NaiveAverage).
+            predicted_mse: f64,
+            /// The plan regression's realized training MSE.
+            training_mse: f64,
+            /// Realized per-object MSE against bench ground truth.
+            realized_mse: f64,
+            /// Held-out objects the realized MSE averaged over.
+            n_objects: u32,
+        },
+        /// The online spam filter discarded at least one answer from a
+        /// batch: the filter's decision statistics, surfaced so error
+        /// attribution can see *why* answers were dropped.
+        SpamDecision = "spam_decision" {
+            /// Object being estimated.
+            object: u64,
+            /// Attribute whose batch was filtered (raw attribute id).
+            attr: u32,
+            /// Raw batch size.
+            answers: u32,
+            /// Answers that survived the filter.
+            kept: u32,
+            /// Batch median the filter centred on.
+            median: f64,
+            /// Scaled median absolute deviation (the filter's spread
+            /// estimate; 0 when a majority answered identically).
+            mad: f64,
+        },
+        /// One query target's full error-attribution ledger, assembled by
+        /// the bench runner after scoring a plan against ground truth. The
+        /// realized per-object MSE decomposes as
+        /// `noise_mse + model_mse + cross_mse` (exact per-object algebra:
+        /// residual = crowd-noise error through the regression + the
+        /// regression's own model error on true attribute values).
+        /// Self-contained like [`TraceEvent::EvalCalibration`].
+        QueryAudit = "query_audit" {
+            /// Process-unique audit id correlating this ledger with its
+            /// [`TraceEvent::ObjectAudit`] rows. `(label, seed, target)` is
+            /// *not* unique — sweeps rerun the same cell identity per budget
+            /// point, possibly concurrently, interleaving their rows.
+            query: u64,
+            /// Cell identity: domain / query / strategy.
+            label: String,
+            /// Repetition seed of the run.
+            seed: u64,
+            /// Target attribute label.
+            target: String,
+            /// Held-out objects audited.
+            n_objects: u32,
+            /// Predicted `Err(b)` at the chosen budget (Eq. 2).
+            predicted_mse: f64,
+            /// The plan regression's training MSE.
+            training_mse: f64,
+            /// Realized per-object MSE against ground truth.
+            realized_mse: f64,
+            /// Mean squared crowd-noise error: `(ŷ − ỹ)²` where `ỹ` is the
+            /// regression applied to *true* attribute values.
+            noise_mse: f64,
+            /// Mean squared model error: `(ỹ − y)²`.
+            model_mse: f64,
+            /// Twice the mean noise×model cross term (completes the exact
+            /// decomposition; near zero when the two are independent).
+            cross_mse: f64,
+            /// Predicted `Err(b)` at an effectively unbounded budget — the
+            /// error floor the regression could reach with infinite answers.
+            error_floor: f64,
+            /// `predicted_mse − error_floor`: the loss attributable to
+            /// truncating the per-object budget at `B_obj`.
+            budget_truncation: f64,
+            /// Nominal two-sided confidence level of the per-object
+            /// intervals (e.g. 0.95).
+            ci_level: f64,
+            /// Fraction of audited objects whose true value fell inside
+            /// `estimate ± z·√predicted_mse`.
+            ci_coverage: f64,
+            /// Per-planned-attribute answer-stream audit.
+            attrs: Vec<AttrAudit>,
+        },
+        /// One audited object's residual and confidence interval (the
+        /// per-object grain under a [`TraceEvent::QueryAudit`]).
+        ObjectAudit = "object_audit" {
+            /// The owning [`TraceEvent::QueryAudit`]'s audit id.
+            query: u64,
+            /// Cell identity: domain / query / strategy.
+            label: String,
+            /// Repetition seed of the run.
+            seed: u64,
+            /// Target attribute label.
+            target: String,
+            /// Audited object.
+            object: u64,
+            /// Ground-truth target value.
+            truth: f64,
+            /// The plan's estimate.
+            estimate: f64,
+            /// `estimate − truth`.
+            residual: f64,
+            /// Crowd-noise component of the residual (`ŷ − ỹ`).
+            noise_err: f64,
+            /// Model component of the residual (`ỹ − y`).
+            model_err: f64,
+            /// Lower edge of the predicted confidence interval.
+            ci_lo: f64,
+            /// Upper edge of the predicted confidence interval.
+            ci_hi: f64,
+            /// Whether the truth fell inside `[ci_lo, ci_hi]`.
+            in_ci: bool,
+        },
+        /// Final state of one drift detector after an audited run: the
+        /// always-emitted companion of [`TraceEvent::DriftDetected`] (which
+        /// only fires on alarms), so coverage gates can require it.
+        DriftUpdate = "drift_update" {
+            /// Cell identity: domain / query / strategy.
+            label: String,
+            /// Monitored attribute label.
+            attr: String,
+            /// Monitored metric: `answer_var` or `spam_rate`.
+            metric: String,
+            /// Planned reference value the stream is compared against.
+            reference: f64,
+            /// EWMA of the standardized deviations from the reference.
+            ewma: f64,
+            /// Current two-sided CUSUM score (max of both sides, in sigmas).
+            score: f64,
+            /// CUSUM decision threshold `h`.
+            threshold: f64,
+            /// Batches the detector absorbed.
+            samples: u64,
+            /// Alarms raised over the run.
+            alarms: u64,
+        },
+        /// A drift detector crossed its decision threshold: the realized
+        /// answer stream departed from the plan's assumptions. This is the
+        /// trigger signal a streaming replanning engine consumes.
+        DriftDetected = "drift_detected" {
+            /// Cell identity: domain / query / strategy.
+            label: String,
+            /// Monitored attribute label.
+            attr: String,
+            /// Monitored metric: `answer_var` or `spam_rate`.
+            metric: String,
+            /// The observation that tripped the alarm.
+            observed: f64,
+            /// Planned reference value.
+            reference: f64,
+            /// CUSUM score just before the alarm reset (exceeds
+            /// `threshold`).
+            score: f64,
+            /// CUSUM decision threshold `h`.
+            threshold: f64,
+            /// 1-based index of the tripping batch in the stream.
+            sample: u64,
+        },
+        /// Planted quality profile of one worker in the simulated pool,
+        /// emitted per audited repetition (deterministic, so re-emission is
+        /// idempotent) so scorecards can compare observed behaviour against
+        /// the planted truth.
+        WorkerProfile = "worker_profile" {
+            /// Cell identity: domain / query / strategy.
+            label: String,
+            /// Worker index within the pool.
+            worker: u32,
+            /// Planted noise-sd multiplier (1.0 in the homogeneous model).
+            sd_multiplier: f64,
+            /// Planted spam propensity (0.0 for honest workers).
+            spam_propensity: f64,
+        },
+        /// Observed per-worker tallies of one audited repetition: the
+        /// provenance side of the audit ledger.
+        WorkerStats = "worker_stats" {
+            /// Cell identity: domain / query / strategy.
+            label: String,
+            /// Repetition seed of the run.
+            seed: u64,
+            /// Worker index within the pool.
+            worker: u32,
+            /// Binary value answers attributed to the worker.
+            binary_answers: u64,
+            /// Numeric value answers attributed to the worker.
+            numeric_answers: u64,
+            /// Answers the spam filter rejected.
+            rejected: u64,
+            /// Millicents charged for the worker's answers.
+            spent_millicents: i64,
+            /// Standardized residuals recorded (kept answers of well-formed
+            /// batches).
+            residual_n: u64,
+            /// Sum of those standardized residuals.
+            residual_sum: f64,
+            /// Sum of their squares (raw moments add exactly across reps).
+            residual_sq: f64,
+        },
+        /// A hierarchical span opened (see [`crate::span`]). Matched by
+        /// exactly one [`TraceEvent::SpanEnd`] with the same `id`.
+        SpanStart = "span_start" {
+            /// Process-unique span id.
+            id: u64,
+            /// Innermost open span on the same thread at open time, if any.
+            parent: Option<u64>,
+            /// Trace-thread id of the opening thread (1-based).
+            tid: u64,
+            /// Request id scoped onto the opening thread (see
+            /// [`crate::span::enter_request`]); 0 = no request context.
+            req: u64 = 0,
+            /// Static span label (`preprocess`, `dismantle_round`, …).
+            label: String,
+            /// Free-form detail (`k=3`, a target name, …); may be empty.
+            detail: String,
+        },
+        /// A span closed; carries the resources attributed to it (cumulative
+        /// over the span's lifetime on its own thread — children included).
+        SpanEnd = "span_end" {
+            /// Matches the [`TraceEvent::SpanStart`] id.
+            id: u64,
+            /// Trace-thread id of the closing thread.
+            tid: u64,
+            /// Wall-clock nanoseconds the span was open.
+            dur_ns: u64,
+            /// Bytes requested from the allocator while open (0 unless
+            /// [`crate::CountingAlloc`] is the global allocator).
+            alloc_bytes: u64,
+            /// Allocator calls while open.
+            allocs: u64,
+            /// Crowd questions charged while open (any kind).
+            questions: u64,
+            /// Kernel-timer nanoseconds recorded while open.
+            kernel_ns: u64,
+        },
+        /// The micro-batcher flushed one coalesced `(object, attribute)`
+        /// cell to the crowd platform, answering every sharer at once. The
+        /// flush runs on the leading request's thread; `reqs` preserves the
+        /// causal link to every other request whose questions rode along.
+        BatchFlush = "batch_flush" {
+            /// Object id of the coalesced cell.
+            object: u64,
+            /// Attribute id of the coalesced cell.
+            attr: u32,
+            /// Questions actually asked (the max over sharers).
+            k_max: u32,
+            /// Questions requested across all sharers.
+            k_sum: u32,
+            /// Number of requests sharing the flush.
+            joiners: u32,
+            /// Request ids of every participant (sorted, deduplicated;
+            /// 0 = a participant outside any request scope).
+            reqs: Vec<u64>,
+        },
+    }
+
+    /// Per-candidate term of one dismantle-target choice: the Eq. 8/9 score
+    /// `Pr(new | a_j) · Σ_t ω_t [G − L]` and its factors.
+    struct CandidateScore {
+        /// Pool index of the candidate attribute.
+        index: u32,
+        /// `Pr(new | a_j) = 1/(n_j + 2)` (Eq. 4).
+        pr_new: f64,
+        /// The weighted gain-minus-loss sum `Σ_t ω_t [G − L]`.
+        value: f64,
+        /// The product actually ranked.
         score: f64,
-        /// CUSUM decision threshold `h`.
-        threshold: f64,
-        /// Batches the detector absorbed.
-        samples: u64,
-        /// Alarms raised over the run.
-        alarms: u64,
-    },
-    /// A drift detector crossed its decision threshold: the realized
-    /// answer stream departed from the plan's assumptions. This is the
-    /// trigger signal a streaming replanning engine consumes.
-    DriftDetected {
-        /// Cell identity: domain / query / strategy.
-        label: String,
-        /// Monitored attribute label.
-        attr: String,
-        /// Monitored metric: `answer_var` or `spam_rate`.
-        metric: String,
-        /// The observation that tripped the alarm.
-        observed: f64,
-        /// Planned reference value.
-        reference: f64,
-        /// CUSUM score just before the alarm reset (exceeds
-        /// `threshold`).
-        score: f64,
-        /// CUSUM decision threshold `h`.
-        threshold: f64,
-        /// 1-based index of the tripping batch in the stream.
-        sample: u64,
-    },
-    /// Planted quality profile of one worker in the simulated pool,
-    /// emitted per audited repetition (deterministic, so re-emission is
-    /// idempotent) so scorecards can compare observed behaviour against
-    /// the planted truth.
-    WorkerProfile {
-        /// Cell identity: domain / query / strategy.
-        label: String,
-        /// Worker index within the pool.
-        worker: u32,
-        /// Planted noise-sd multiplier (1.0 in the homogeneous model).
-        sd_multiplier: f64,
-        /// Planted spam propensity (0.0 for honest workers).
-        spam_propensity: f64,
-    },
-    /// Observed per-worker tallies of one audited repetition: the
-    /// provenance side of the audit ledger.
-    WorkerStats {
-        /// Cell identity: domain / query / strategy.
-        label: String,
-        /// Repetition seed of the run.
-        seed: u64,
-        /// Worker index within the pool.
-        worker: u32,
-        /// Binary value answers attributed to the worker.
-        binary_answers: u64,
-        /// Numeric value answers attributed to the worker.
-        numeric_answers: u64,
-        /// Answers the spam filter rejected.
-        rejected: u64,
-        /// Millicents charged for the worker's answers.
-        spent_millicents: i64,
-        /// Standardized residuals recorded (kept answers of well-formed
-        /// batches).
-        residual_n: u64,
-        /// Sum of those standardized residuals.
-        residual_sum: f64,
-        /// Sum of their squares (raw moments add exactly across reps).
-        residual_sq: f64,
-    },
-    /// A hierarchical span opened (see [`crate::span`]). Matched by
-    /// exactly one [`TraceEvent::SpanEnd`] with the same `id`.
-    SpanStart {
-        /// Process-unique span id.
-        id: u64,
-        /// Innermost open span on the same thread at open time, if any.
-        parent: Option<u64>,
-        /// Trace-thread id of the opening thread (1-based).
-        tid: u64,
-        /// Request id scoped onto the opening thread (see
-        /// [`crate::span::enter_request`]); 0 = no request context.
-        req: u64,
-        /// Static span label (`preprocess`, `dismantle_round`, …).
-        label: String,
-        /// Free-form detail (`k=3`, a target name, …); may be empty.
-        detail: String,
-    },
-    /// A span closed; carries the resources attributed to it (cumulative
-    /// over the span's lifetime on its own thread — children included).
-    SpanEnd {
-        /// Matches the [`TraceEvent::SpanStart`] id.
-        id: u64,
-        /// Trace-thread id of the closing thread.
-        tid: u64,
-        /// Wall-clock nanoseconds the span was open.
-        dur_ns: u64,
-        /// Bytes requested from the allocator while open (0 unless
-        /// [`crate::CountingAlloc`] is the global allocator).
-        alloc_bytes: u64,
-        /// Allocator calls while open.
-        allocs: u64,
-        /// Crowd questions charged while open (any kind).
+    }
+
+    /// Per-question-kind component of a phase's spend delta.
+    struct KindSpend {
+        /// Question kind label (the ledger's display name).
+        kind: String,
+        /// Questions of that kind asked during the phase.
         questions: u64,
-        /// Kernel-timer nanoseconds recorded while open.
-        kernel_ns: u64,
-    },
-    /// The micro-batcher flushed one coalesced `(object, attribute)`
-    /// cell to the crowd platform, answering every sharer at once. The
-    /// flush runs on the leading request's thread; `reqs` preserves the
-    /// causal link to every other request whose questions rode along.
-    BatchFlush {
-        /// Object id of the coalesced cell.
-        object: u64,
-        /// Attribute id of the coalesced cell.
-        attr: u32,
-        /// Questions actually asked (the max over sharers).
-        k_max: u32,
-        /// Questions requested across all sharers.
-        k_sum: u32,
-        /// Number of requests sharing the flush.
-        joiners: u32,
-        /// Request ids of every participant (sorted, deduplicated;
-        /// 0 = a participant outside any request scope).
-        reqs: Vec<u64>,
-    },
+        /// Milli-cents spent on that kind during the phase.
+        millicents: i64,
+    }
+
+    /// Per-attribute slice of a [`TraceEvent::QueryAudit`]: how one planned
+    /// attribute's answer stream behaved against the plan's assumptions.
+    struct AttrAudit {
+        /// Planned attribute label.
+        label: String,
+        /// Questions per object the plan allocated (`b(a)`).
+        questions: u32,
+        /// Answer batches observed (= objects estimated).
+        batches: u64,
+        /// Raw answers asked across all batches.
+        answers: u64,
+        /// Answers the spam filter discarded.
+        dropped: u64,
+        /// Whole-batch rejections (estimator fell back to raw answers).
+        fallbacks: u64,
+        /// The trio's planned per-answer variance `S_c[a]`.
+        planned_sc: f64,
+        /// Mean within-batch sample variance of the answers actually
+        /// averaged (NaN when no batch kept ≥ 2 answers).
+        realized_sc: f64,
+    }
 }
 
 impl TraceEvent {
-    /// The `"event"` tag of the JSON encoding.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TraceEvent::RunStart { .. } => "run_start",
-            TraceEvent::PhaseSpend { .. } => "phase_spend",
-            TraceEvent::DismantleChoice { .. } => "dismantle_choice",
-            TraceEvent::SprtVerdict { .. } => "sprt_verdict",
-            TraceEvent::TrioSize { .. } => "trio_size",
-            TraceEvent::BudgetStep { .. } => "budget_step",
-            TraceEvent::BudgetChosen { .. } => "budget_chosen",
-            TraceEvent::RegressionFit { .. } => "regression_fit",
-            TraceEvent::SpamFallback { .. } => "spam_fallback",
-            TraceEvent::SolverFallback { .. } => "solver_fallback",
-            TraceEvent::EvalCalibration { .. } => "eval_calibration",
-            TraceEvent::SpamDecision { .. } => "spam_decision",
-            TraceEvent::QueryAudit { .. } => "query_audit",
-            TraceEvent::ObjectAudit { .. } => "object_audit",
-            TraceEvent::DriftUpdate { .. } => "drift_update",
-            TraceEvent::DriftDetected { .. } => "drift_detected",
-            TraceEvent::WorkerProfile { .. } => "worker_profile",
-            TraceEvent::WorkerStats { .. } => "worker_stats",
-            TraceEvent::SpanStart { .. } => "span_start",
-            TraceEvent::SpanEnd { .. } => "span_end",
-            TraceEvent::BatchFlush { .. } => "batch_flush",
-        }
-    }
-
-    /// Serializes to one line of JSON (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"event\":");
-        write_str(&mut s, self.name());
-        match self {
-            TraceEvent::RunStart { label, seed } => {
-                s.push_str(",\"label\":");
-                write_str(&mut s, label);
-                let _ = write!(s, ",\"seed\":{seed}");
-            }
-            TraceEvent::PhaseSpend {
-                phase,
-                spent_millicents,
-                delta_millicents,
-                delta_questions,
-                by_kind,
-            } => {
-                s.push_str(",\"phase\":");
-                write_str(&mut s, phase);
-                let _ = write!(
-                    s,
-                    ",\"spent_millicents\":{spent_millicents},\
-                     \"delta_millicents\":{delta_millicents},\
-                     \"delta_questions\":{delta_questions},\"by_kind\":["
-                );
-                for (i, k) in by_kind.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push_str("{\"kind\":");
-                    write_str(&mut s, &k.kind);
-                    let _ = write!(
-                        s,
-                        ",\"questions\":{},\"millicents\":{}}}",
-                        k.questions, k.millicents
-                    );
-                }
-                s.push(']');
-            }
-            TraceEvent::DismantleChoice { chosen, scores } => {
-                match chosen {
-                    Some(c) => {
-                        let _ = write!(s, ",\"chosen\":{c}");
-                    }
-                    None => s.push_str(",\"chosen\":null"),
-                }
-                s.push_str(",\"scores\":[");
-                for (i, c) in scores.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    let _ = write!(s, "{{\"index\":{},\"pr_new\":", c.index);
-                    write_f64(&mut s, c.pr_new);
-                    s.push_str(",\"value\":");
-                    write_f64(&mut s, c.value);
-                    s.push_str(",\"score\":");
-                    write_f64(&mut s, c.score);
-                    s.push('}');
-                }
-                s.push(']');
-            }
-            TraceEvent::SprtVerdict {
-                candidate,
-                parent,
-                accepted,
-                samples,
-            } => {
-                s.push_str(",\"candidate\":");
-                write_str(&mut s, candidate);
-                let _ = write!(
-                    s,
-                    ",\"parent\":{parent},\"accepted\":{accepted},\"samples\":{samples}"
-                );
-            }
-            TraceEvent::TrioSize { n_targets, n_attrs } => {
-                let _ = write!(s, ",\"n_targets\":{n_targets},\"n_attrs\":{n_attrs}");
-            }
-            TraceEvent::BudgetStep {
-                label,
-                attr,
-                question,
-                objective,
-            } => {
-                s.push_str(",\"label\":");
-                write_str(&mut s, label);
-                let _ = write!(s, ",\"attr\":{attr},\"question\":{question},\"objective\":");
-                write_f64(&mut s, *objective);
-            }
-            TraceEvent::BudgetChosen {
-                label,
-                allocation,
-                objective,
-            } => {
-                s.push_str(",\"label\":");
-                write_str(&mut s, label);
-                s.push_str(",\"allocation\":[");
-                for (i, b) in allocation.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    let _ = write!(s, "{b}");
-                }
-                s.push_str("],\"objective\":");
-                write_f64(&mut s, *objective);
-            }
-            TraceEvent::RegressionFit {
-                target,
-                label,
-                training_mse,
-                rows,
-            } => {
-                let _ = write!(s, ",\"target\":{target},\"label\":");
-                write_str(&mut s, label);
-                s.push_str(",\"training_mse\":");
-                write_f64(&mut s, *training_mse);
-                let _ = write!(s, ",\"rows\":{rows}");
-            }
-            TraceEvent::SpamFallback {
-                object,
-                attr,
-                answers,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"object\":{object},\"attr\":{attr},\"answers\":{answers}"
-                );
-            }
-            TraceEvent::SolverFallback { label, reason } => {
-                s.push_str(",\"label\":");
-                write_str(&mut s, label);
-                s.push_str(",\"reason\":");
-                write_str(&mut s, reason);
-            }
-            TraceEvent::EvalCalibration {
-                label,
-                seed,
-                target,
-                predicted_mse,
-                training_mse,
-                realized_mse,
-                n_objects,
-            } => {
-                s.push_str(",\"label\":");
-                write_str(&mut s, label);
-                let _ = write!(s, ",\"seed\":{seed},\"target\":");
-                write_str(&mut s, target);
-                s.push_str(",\"predicted_mse\":");
-                write_f64(&mut s, *predicted_mse);
-                s.push_str(",\"training_mse\":");
-                write_f64(&mut s, *training_mse);
-                s.push_str(",\"realized_mse\":");
-                write_f64(&mut s, *realized_mse);
-                let _ = write!(s, ",\"n_objects\":{n_objects}");
-            }
-            TraceEvent::SpamDecision {
-                object,
-                attr,
-                answers,
-                kept,
-                median,
-                mad,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"object\":{object},\"attr\":{attr},\"answers\":{answers},\
-                     \"kept\":{kept},\"median\":"
-                );
-                write_f64(&mut s, *median);
-                s.push_str(",\"mad\":");
-                write_f64(&mut s, *mad);
-            }
-            TraceEvent::QueryAudit {
-                query,
-                label,
-                seed,
-                target,
-                n_objects,
-                predicted_mse,
-                training_mse,
-                realized_mse,
-                noise_mse,
-                model_mse,
-                cross_mse,
-                error_floor,
-                budget_truncation,
-                ci_level,
-                ci_coverage,
-                attrs,
-            } => {
-                let _ = write!(s, ",\"query\":{query},\"label\":");
-                write_str(&mut s, label);
-                let _ = write!(s, ",\"seed\":{seed},\"target\":");
-                write_str(&mut s, target);
-                let _ = write!(s, ",\"n_objects\":{n_objects}");
-                for (name, value) in [
-                    ("predicted_mse", *predicted_mse),
-                    ("training_mse", *training_mse),
-                    ("realized_mse", *realized_mse),
-                    ("noise_mse", *noise_mse),
-                    ("model_mse", *model_mse),
-                    ("cross_mse", *cross_mse),
-                    ("error_floor", *error_floor),
-                    ("budget_truncation", *budget_truncation),
-                    ("ci_level", *ci_level),
-                    ("ci_coverage", *ci_coverage),
-                ] {
-                    let _ = write!(s, ",\"{name}\":");
-                    write_f64(&mut s, value);
-                }
-                s.push_str(",\"attrs\":[");
-                for (i, a) in attrs.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push_str("{\"label\":");
-                    write_str(&mut s, &a.label);
-                    let _ = write!(
-                        s,
-                        ",\"questions\":{},\"batches\":{},\"answers\":{},\
-                         \"dropped\":{},\"fallbacks\":{},\"planned_sc\":",
-                        a.questions, a.batches, a.answers, a.dropped, a.fallbacks
-                    );
-                    write_f64(&mut s, a.planned_sc);
-                    s.push_str(",\"realized_sc\":");
-                    write_f64(&mut s, a.realized_sc);
-                    s.push('}');
-                }
-                s.push(']');
-            }
-            TraceEvent::ObjectAudit {
-                query,
-                label,
-                seed,
-                target,
-                object,
-                truth,
-                estimate,
-                residual,
-                noise_err,
-                model_err,
-                ci_lo,
-                ci_hi,
-                in_ci,
-            } => {
-                let _ = write!(s, ",\"query\":{query},\"label\":");
-                write_str(&mut s, label);
-                let _ = write!(s, ",\"seed\":{seed},\"target\":");
-                write_str(&mut s, target);
-                let _ = write!(s, ",\"object\":{object}");
-                for (name, value) in [
-                    ("truth", *truth),
-                    ("estimate", *estimate),
-                    ("residual", *residual),
-                    ("noise_err", *noise_err),
-                    ("model_err", *model_err),
-                    ("ci_lo", *ci_lo),
-                    ("ci_hi", *ci_hi),
-                ] {
-                    let _ = write!(s, ",\"{name}\":");
-                    write_f64(&mut s, value);
-                }
-                let _ = write!(s, ",\"in_ci\":{in_ci}");
-            }
-            TraceEvent::DriftUpdate {
-                label,
-                attr,
-                metric,
-                reference,
-                ewma,
-                score,
-                threshold,
-                samples,
-                alarms,
-            } => {
-                s.push_str(",\"label\":");
-                write_str(&mut s, label);
-                s.push_str(",\"attr\":");
-                write_str(&mut s, attr);
-                s.push_str(",\"metric\":");
-                write_str(&mut s, metric);
-                for (name, value) in [
-                    ("reference", *reference),
-                    ("ewma", *ewma),
-                    ("score", *score),
-                    ("threshold", *threshold),
-                ] {
-                    let _ = write!(s, ",\"{name}\":");
-                    write_f64(&mut s, value);
-                }
-                let _ = write!(s, ",\"samples\":{samples},\"alarms\":{alarms}");
-            }
-            TraceEvent::DriftDetected {
-                label,
-                attr,
-                metric,
-                observed,
-                reference,
-                score,
-                threshold,
-                sample,
-            } => {
-                s.push_str(",\"label\":");
-                write_str(&mut s, label);
-                s.push_str(",\"attr\":");
-                write_str(&mut s, attr);
-                s.push_str(",\"metric\":");
-                write_str(&mut s, metric);
-                for (name, value) in [
-                    ("observed", *observed),
-                    ("reference", *reference),
-                    ("score", *score),
-                    ("threshold", *threshold),
-                ] {
-                    let _ = write!(s, ",\"{name}\":");
-                    write_f64(&mut s, value);
-                }
-                let _ = write!(s, ",\"sample\":{sample}");
-            }
-            TraceEvent::WorkerProfile {
-                label,
-                worker,
-                sd_multiplier,
-                spam_propensity,
-            } => {
-                s.push_str(",\"label\":");
-                write_str(&mut s, label);
-                let _ = write!(s, ",\"worker\":{worker}");
-                for (name, value) in [
-                    ("sd_multiplier", *sd_multiplier),
-                    ("spam_propensity", *spam_propensity),
-                ] {
-                    let _ = write!(s, ",\"{name}\":");
-                    write_f64(&mut s, value);
-                }
-            }
-            TraceEvent::WorkerStats {
-                label,
-                seed,
-                worker,
-                binary_answers,
-                numeric_answers,
-                rejected,
-                spent_millicents,
-                residual_n,
-                residual_sum,
-                residual_sq,
-            } => {
-                s.push_str(",\"label\":");
-                write_str(&mut s, label);
-                let _ = write!(
-                    s,
-                    ",\"seed\":{seed},\"worker\":{worker},\
-                     \"binary_answers\":{binary_answers},\
-                     \"numeric_answers\":{numeric_answers},\
-                     \"rejected\":{rejected},\
-                     \"spent_millicents\":{spent_millicents},\
-                     \"residual_n\":{residual_n}"
-                );
-                for (name, value) in [
-                    ("residual_sum", *residual_sum),
-                    ("residual_sq", *residual_sq),
-                ] {
-                    let _ = write!(s, ",\"{name}\":");
-                    write_f64(&mut s, value);
-                }
-            }
-            TraceEvent::SpanStart {
-                id,
-                parent,
-                tid,
-                req,
-                label,
-                detail,
-            } => {
-                let _ = write!(s, ",\"id\":{id},\"parent\":");
-                match parent {
-                    Some(p) => {
-                        let _ = write!(s, "{p}");
-                    }
-                    None => s.push_str("null"),
-                }
-                let _ = write!(s, ",\"tid\":{tid}");
-                // Only request-scoped spans carry the field, so traces
-                // from non-serving runs stay byte-identical.
-                if *req != 0 {
-                    let _ = write!(s, ",\"req\":{req}");
-                }
-                s.push_str(",\"label\":");
-                write_str(&mut s, label);
-                s.push_str(",\"detail\":");
-                write_str(&mut s, detail);
-            }
-            TraceEvent::SpanEnd {
-                id,
-                tid,
-                dur_ns,
-                alloc_bytes,
-                allocs,
-                questions,
-                kernel_ns,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"id\":{id},\"tid\":{tid},\"dur_ns\":{dur_ns},\
-                     \"alloc_bytes\":{alloc_bytes},\"allocs\":{allocs},\
-                     \"questions\":{questions},\"kernel_ns\":{kernel_ns}"
-                );
-            }
-            TraceEvent::BatchFlush {
-                object,
-                attr,
-                k_max,
-                k_sum,
-                joiners,
-                reqs,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"object\":{object},\"attr\":{attr},\"k_max\":{k_max},\
-                     \"k_sum\":{k_sum},\"joiners\":{joiners},\"reqs\":["
-                );
-                for (i, r) in reqs.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    let _ = write!(s, "{r}");
-                }
-                s.push(']');
-            }
-        }
-        s.push('}');
-        s
-    }
-
     /// Parses one JSONL line back into an event. Unknown object keys
     /// (e.g. the `t_us` timestamp the JSONL sink splices in) are
     /// ignored.
@@ -894,584 +708,111 @@ impl TraceEvent {
         let v = json::parse(line)?;
         TraceEvent::from_json(&v)
     }
-
-    /// Decodes an already-parsed JSON object into an event (the working
-    /// half of [`TraceEvent::parse`]; [`crate::TraceReader`] calls this
-    /// directly so it can also read the line's timestamp).
-    pub fn from_json(v: &Json) -> Result<TraceEvent, String> {
-        let tag = v
-            .get("event")
-            .and_then(Json::as_str)
-            .ok_or("missing \"event\" tag")?;
-        let str_field = |name: &str| -> Result<String, String> {
-            v.get(name)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("{tag}: missing string {name:?}"))
-        };
-        let u64_field = |name: &str| -> Result<u64, String> {
-            v.get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{tag}: missing integer {name:?}"))
-        };
-        let u32_field = |name: &str| -> Result<u32, String> {
-            u64_field(name)?
-                .try_into()
-                .map_err(|_| format!("{tag}: {name:?} out of range"))
-        };
-        let f64_field = |name: &str| -> Result<f64, String> {
-            v.get(name)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("{tag}: missing number {name:?}"))
-        };
-        match tag {
-            "run_start" => Ok(TraceEvent::RunStart {
-                label: str_field("label")?,
-                seed: u64_field("seed")?,
-            }),
-            "phase_spend" => {
-                let mut by_kind = Vec::new();
-                for k in v
-                    .get("by_kind")
-                    .and_then(Json::as_arr)
-                    .ok_or("phase_spend: missing by_kind")?
-                {
-                    by_kind.push(KindSpend {
-                        kind: k
-                            .get("kind")
-                            .and_then(Json::as_str)
-                            .ok_or("by_kind: missing kind")?
-                            .to_string(),
-                        questions: k
-                            .get("questions")
-                            .and_then(Json::as_u64)
-                            .ok_or("by_kind: missing questions")?,
-                        millicents: k
-                            .get("millicents")
-                            .and_then(Json::as_i64)
-                            .ok_or("by_kind: missing millicents")?,
-                    });
-                }
-                Ok(TraceEvent::PhaseSpend {
-                    phase: str_field("phase")?,
-                    spent_millicents: v
-                        .get("spent_millicents")
-                        .and_then(Json::as_i64)
-                        .ok_or("phase_spend: missing spent_millicents")?,
-                    delta_millicents: v
-                        .get("delta_millicents")
-                        .and_then(Json::as_i64)
-                        .ok_or("phase_spend: missing delta_millicents")?,
-                    delta_questions: u64_field("delta_questions")?,
-                    by_kind,
-                })
-            }
-            "dismantle_choice" => {
-                let chosen = match v.get("chosen") {
-                    Some(Json::Null) => None,
-                    Some(j) => Some(
-                        j.as_u64()
-                            .and_then(|n| u32::try_from(n).ok())
-                            .ok_or("dismantle_choice: bad chosen")?,
-                    ),
-                    None => return Err("dismantle_choice: missing chosen".into()),
-                };
-                let mut scores = Vec::new();
-                for c in v
-                    .get("scores")
-                    .and_then(Json::as_arr)
-                    .ok_or("dismantle_choice: missing scores")?
-                {
-                    let num = |name: &str| -> Result<f64, String> {
-                        c.get(name)
-                            .and_then(Json::as_f64)
-                            .ok_or_else(|| format!("scores: missing {name:?}"))
-                    };
-                    scores.push(CandidateScore {
-                        index: c
-                            .get("index")
-                            .and_then(Json::as_u64)
-                            .and_then(|n| u32::try_from(n).ok())
-                            .ok_or("scores: missing index")?,
-                        pr_new: num("pr_new")?,
-                        value: num("value")?,
-                        score: num("score")?,
-                    });
-                }
-                Ok(TraceEvent::DismantleChoice { chosen, scores })
-            }
-            "sprt_verdict" => Ok(TraceEvent::SprtVerdict {
-                candidate: str_field("candidate")?,
-                parent: u32_field("parent")?,
-                accepted: v
-                    .get("accepted")
-                    .and_then(Json::as_bool)
-                    .ok_or("sprt_verdict: missing accepted")?,
-                samples: u32_field("samples")?,
-            }),
-            "trio_size" => Ok(TraceEvent::TrioSize {
-                n_targets: u32_field("n_targets")?,
-                n_attrs: u32_field("n_attrs")?,
-            }),
-            "budget_step" => Ok(TraceEvent::BudgetStep {
-                label: str_field("label")?,
-                attr: u32_field("attr")?,
-                question: u32_field("question")?,
-                objective: f64_field("objective")?,
-            }),
-            "budget_chosen" => {
-                let mut allocation = Vec::new();
-                for b in v
-                    .get("allocation")
-                    .and_then(Json::as_arr)
-                    .ok_or("budget_chosen: missing allocation")?
-                {
-                    allocation.push(
-                        b.as_u64()
-                            .and_then(|n| u32::try_from(n).ok())
-                            .ok_or("budget_chosen: bad allocation entry")?,
-                    );
-                }
-                Ok(TraceEvent::BudgetChosen {
-                    label: str_field("label")?,
-                    allocation,
-                    objective: f64_field("objective")?,
-                })
-            }
-            "regression_fit" => Ok(TraceEvent::RegressionFit {
-                target: u32_field("target")?,
-                label: str_field("label")?,
-                training_mse: f64_field("training_mse")?,
-                rows: u32_field("rows")?,
-            }),
-            "spam_fallback" => Ok(TraceEvent::SpamFallback {
-                object: u64_field("object")?,
-                attr: u32_field("attr")?,
-                answers: u32_field("answers")?,
-            }),
-            "solver_fallback" => Ok(TraceEvent::SolverFallback {
-                label: str_field("label")?,
-                reason: str_field("reason")?,
-            }),
-            "eval_calibration" => Ok(TraceEvent::EvalCalibration {
-                label: str_field("label")?,
-                seed: u64_field("seed")?,
-                target: str_field("target")?,
-                predicted_mse: f64_field("predicted_mse")?,
-                training_mse: f64_field("training_mse")?,
-                realized_mse: f64_field("realized_mse")?,
-                n_objects: u32_field("n_objects")?,
-            }),
-            "spam_decision" => Ok(TraceEvent::SpamDecision {
-                object: u64_field("object")?,
-                attr: u32_field("attr")?,
-                answers: u32_field("answers")?,
-                kept: u32_field("kept")?,
-                median: f64_field("median")?,
-                mad: f64_field("mad")?,
-            }),
-            "query_audit" => {
-                let mut attrs = Vec::new();
-                for a in v
-                    .get("attrs")
-                    .and_then(Json::as_arr)
-                    .ok_or("query_audit: missing attrs")?
-                {
-                    let num = |name: &str| -> Result<f64, String> {
-                        a.get(name)
-                            .and_then(Json::as_f64)
-                            .ok_or_else(|| format!("attrs: missing {name:?}"))
-                    };
-                    let int = |name: &str| -> Result<u64, String> {
-                        a.get(name)
-                            .and_then(Json::as_u64)
-                            .ok_or_else(|| format!("attrs: missing {name:?}"))
-                    };
-                    attrs.push(AttrAudit {
-                        label: a
-                            .get("label")
-                            .and_then(Json::as_str)
-                            .ok_or("attrs: missing label")?
-                            .to_string(),
-                        questions: int("questions")?
-                            .try_into()
-                            .map_err(|_| "attrs: questions out of range".to_string())?,
-                        batches: int("batches")?,
-                        answers: int("answers")?,
-                        dropped: int("dropped")?,
-                        fallbacks: int("fallbacks")?,
-                        planned_sc: num("planned_sc")?,
-                        realized_sc: num("realized_sc")?,
-                    });
-                }
-                Ok(TraceEvent::QueryAudit {
-                    query: u64_field("query")?,
-                    label: str_field("label")?,
-                    seed: u64_field("seed")?,
-                    target: str_field("target")?,
-                    n_objects: u32_field("n_objects")?,
-                    predicted_mse: f64_field("predicted_mse")?,
-                    training_mse: f64_field("training_mse")?,
-                    realized_mse: f64_field("realized_mse")?,
-                    noise_mse: f64_field("noise_mse")?,
-                    model_mse: f64_field("model_mse")?,
-                    cross_mse: f64_field("cross_mse")?,
-                    error_floor: f64_field("error_floor")?,
-                    budget_truncation: f64_field("budget_truncation")?,
-                    ci_level: f64_field("ci_level")?,
-                    ci_coverage: f64_field("ci_coverage")?,
-                    attrs,
-                })
-            }
-            "object_audit" => Ok(TraceEvent::ObjectAudit {
-                query: u64_field("query")?,
-                label: str_field("label")?,
-                seed: u64_field("seed")?,
-                target: str_field("target")?,
-                object: u64_field("object")?,
-                truth: f64_field("truth")?,
-                estimate: f64_field("estimate")?,
-                residual: f64_field("residual")?,
-                noise_err: f64_field("noise_err")?,
-                model_err: f64_field("model_err")?,
-                ci_lo: f64_field("ci_lo")?,
-                ci_hi: f64_field("ci_hi")?,
-                in_ci: v
-                    .get("in_ci")
-                    .and_then(Json::as_bool)
-                    .ok_or("object_audit: missing in_ci")?,
-            }),
-            "drift_update" => Ok(TraceEvent::DriftUpdate {
-                label: str_field("label")?,
-                attr: str_field("attr")?,
-                metric: str_field("metric")?,
-                reference: f64_field("reference")?,
-                ewma: f64_field("ewma")?,
-                score: f64_field("score")?,
-                threshold: f64_field("threshold")?,
-                samples: u64_field("samples")?,
-                alarms: u64_field("alarms")?,
-            }),
-            "drift_detected" => Ok(TraceEvent::DriftDetected {
-                label: str_field("label")?,
-                attr: str_field("attr")?,
-                metric: str_field("metric")?,
-                observed: f64_field("observed")?,
-                reference: f64_field("reference")?,
-                score: f64_field("score")?,
-                threshold: f64_field("threshold")?,
-                sample: u64_field("sample")?,
-            }),
-            "worker_profile" => Ok(TraceEvent::WorkerProfile {
-                label: str_field("label")?,
-                worker: u32_field("worker")?,
-                sd_multiplier: f64_field("sd_multiplier")?,
-                spam_propensity: f64_field("spam_propensity")?,
-            }),
-            "worker_stats" => Ok(TraceEvent::WorkerStats {
-                label: str_field("label")?,
-                seed: u64_field("seed")?,
-                worker: u32_field("worker")?,
-                binary_answers: u64_field("binary_answers")?,
-                numeric_answers: u64_field("numeric_answers")?,
-                rejected: u64_field("rejected")?,
-                spent_millicents: v
-                    .get("spent_millicents")
-                    .and_then(Json::as_i64)
-                    .ok_or("worker_stats: missing spent_millicents")?,
-                residual_n: u64_field("residual_n")?,
-                residual_sum: f64_field("residual_sum")?,
-                residual_sq: f64_field("residual_sq")?,
-            }),
-            "span_start" => Ok(TraceEvent::SpanStart {
-                id: u64_field("id")?,
-                parent: match v.get("parent") {
-                    Some(Json::Null) => None,
-                    Some(j) => Some(j.as_u64().ok_or("span_start: bad parent")?),
-                    None => return Err("span_start: missing parent".into()),
-                },
-                tid: u64_field("tid")?,
-                // Additive field: absent in traces written before
-                // request scoping existed, and for spans outside any
-                // request.
-                req: v.get("req").and_then(Json::as_u64).unwrap_or(0),
-                label: str_field("label")?,
-                detail: str_field("detail")?,
-            }),
-            "span_end" => Ok(TraceEvent::SpanEnd {
-                id: u64_field("id")?,
-                tid: u64_field("tid")?,
-                dur_ns: u64_field("dur_ns")?,
-                alloc_bytes: u64_field("alloc_bytes")?,
-                allocs: u64_field("allocs")?,
-                questions: u64_field("questions")?,
-                kernel_ns: u64_field("kernel_ns")?,
-            }),
-            "batch_flush" => {
-                let mut reqs = Vec::new();
-                for r in v
-                    .get("reqs")
-                    .and_then(Json::as_arr)
-                    .ok_or("batch_flush: missing reqs")?
-                {
-                    reqs.push(r.as_u64().ok_or("batch_flush: bad request id")?);
-                }
-                Ok(TraceEvent::BatchFlush {
-                    object: u64_field("object")?,
-                    attr: u32_field("attr")?,
-                    k_max: u32_field("k_max")?,
-                    k_sum: u32_field("k_sum")?,
-                    joiners: u32_field("joiners")?,
-                    reqs,
-                })
-            }
-            other => Err(format!("unknown event tag {other:?}")),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    fn samples() -> Vec<TraceEvent> {
-        vec![
-            TraceEvent::RunStart {
-                label: "pictures / {Bmi}".into(),
-                seed: 42,
-            },
-            TraceEvent::PhaseSpend {
-                phase: "examples".into(),
-                spent_millicents: 123_456,
-                delta_millicents: 123_456,
-                delta_questions: 40,
-                by_kind: vec![KindSpend {
-                    kind: "example".into(),
-                    questions: 40,
-                    millicents: 123_456,
-                }],
-            },
-            TraceEvent::DismantleChoice {
-                chosen: Some(2),
-                scores: vec![
-                    CandidateScore {
-                        index: 0,
-                        pr_new: 0.5,
-                        value: 1.0 / 3.0,
-                        score: 1.0 / 6.0,
-                    },
-                    CandidateScore {
-                        index: 2,
-                        pr_new: 0.25,
-                        value: 2.0,
-                        score: 0.5,
-                    },
-                ],
-            },
-            TraceEvent::DismantleChoice {
-                chosen: None,
-                scores: vec![],
-            },
-            TraceEvent::SprtVerdict {
-                candidate: "Has \"Meat\"".into(),
-                parent: 3,
-                accepted: true,
-                samples: 7,
-            },
-            TraceEvent::TrioSize {
-                n_targets: 2,
-                n_attrs: 5,
-            },
-            TraceEvent::BudgetStep {
-                label: "main".into(),
-                attr: 1,
-                question: 3,
-                objective: 0.725,
-            },
-            TraceEvent::BudgetChosen {
-                label: "main".into(),
-                allocation: vec![5, 10, 0, 3],
-                objective: 0.81,
-            },
-            TraceEvent::RegressionFit {
-                target: 0,
-                label: "Bmi".into(),
-                training_mse: 4.25,
-                rows: 58,
-            },
-            TraceEvent::SpamFallback {
-                object: 17,
-                attr: 4,
-                answers: 6,
-            },
-            TraceEvent::SolverFallback {
-                label: "main".into(),
-                reason: "schur".into(),
-            },
-            TraceEvent::EvalCalibration {
-                label: "pictures/{Bmi} DisQ b_prc=$30 b_obj=4.0¢".into(),
-                seed: 3,
-                target: "Bmi".into(),
-                predicted_mse: 3.75,
-                training_mse: 4.25,
-                realized_mse: 4.5,
-                n_objects: 150,
-            },
-            TraceEvent::SpamDecision {
-                object: 17,
-                attr: 4,
-                answers: 6,
-                kept: 5,
-                median: 23.5,
-                mad: 2.9652,
-            },
-            TraceEvent::QueryAudit {
-                query: 12,
-                label: "pictures/{Bmi} DisQ b_prc=$30 b_obj=4.0¢".into(),
-                seed: 3,
-                target: "Bmi".into(),
-                n_objects: 150,
-                predicted_mse: 3.75,
-                training_mse: 4.25,
-                realized_mse: 4.5,
-                noise_mse: 2.5,
-                model_mse: 1.75,
-                cross_mse: 0.25,
-                error_floor: 1.5,
-                budget_truncation: 2.25,
-                ci_level: 0.95,
-                ci_coverage: 0.9266666666666666,
-                attrs: vec![
-                    AttrAudit {
-                        label: "Weight".into(),
-                        questions: 5,
-                        batches: 150,
-                        answers: 750,
-                        dropped: 12,
-                        fallbacks: 1,
-                        planned_sc: 40.0,
-                        realized_sc: 43.7,
-                    },
-                    AttrAudit {
-                        label: "Height".into(),
-                        questions: 3,
-                        batches: 150,
-                        answers: 450,
-                        dropped: 0,
-                        fallbacks: 0,
-                        planned_sc: 0.01,
-                        realized_sc: 0.008,
-                    },
-                ],
-            },
-            TraceEvent::ObjectAudit {
-                query: 12,
-                label: "pictures/{Bmi} DisQ b_prc=$30 b_obj=4.0¢".into(),
-                seed: 3,
-                target: "Bmi".into(),
-                object: 117,
-                truth: 24.0,
-                estimate: 25.5,
-                residual: 1.5,
-                noise_err: 1.0,
-                model_err: 0.5,
-                ci_lo: 21.7,
-                ci_hi: 29.3,
-                in_ci: true,
-            },
-            TraceEvent::DriftUpdate {
-                label: "pictures/{Bmi} DisQ b_prc=$30 b_obj=4.0¢".into(),
-                attr: "Weight".into(),
-                metric: "answer_var".into(),
-                reference: 40.0,
-                ewma: 0.35,
-                score: 1.25,
-                threshold: 5.0,
-                samples: 150,
-                alarms: 0,
-            },
-            TraceEvent::DriftDetected {
-                label: "pictures/{Bmi} DisQ b_prc=$30 b_obj=4.0¢".into(),
-                attr: "Weight".into(),
-                metric: "spam_rate".into(),
-                observed: 0.4,
-                reference: 0.0,
-                score: 5.2,
-                threshold: 5.0,
-                sample: 31,
-            },
-            TraceEvent::WorkerProfile {
-                label: "pictures/{Bmi} DisQ b_prc=$30 b_obj=4.0¢".into(),
-                worker: 7,
-                sd_multiplier: 1.62,
-                spam_propensity: 0.85,
-            },
-            TraceEvent::WorkerStats {
-                label: "pictures/{Bmi} DisQ b_prc=$30 b_obj=4.0¢".into(),
-                seed: 3,
-                worker: 7,
-                binary_answers: 12,
-                numeric_answers: 88,
-                rejected: 19,
-                spent_millicents: 36_400,
-                residual_n: 81,
-                residual_sum: -2.5,
-                residual_sq: 130.75,
-            },
-            TraceEvent::SpanStart {
-                id: 42,
-                parent: Some(41),
-                tid: 1,
-                req: 7,
-                label: "dismantle_round".into(),
-                detail: "k=3".into(),
-            },
-            TraceEvent::SpanStart {
-                id: 43,
-                parent: None,
-                tid: 2,
-                req: 0,
-                label: "preprocess".into(),
-                detail: String::new(),
-            },
-            TraceEvent::SpanEnd {
-                id: 42,
-                tid: 1,
-                dur_ns: 12_345_678,
-                alloc_bytes: 1 << 33,
-                allocs: 9_001,
-                questions: 57,
-                kernel_ns: 2_000_000,
-            },
-            TraceEvent::BatchFlush {
-                object: 12,
-                attr: 3,
-                k_max: 5,
-                k_sum: 9,
-                joiners: 3,
-                reqs: vec![7, 8, 11],
-            },
-        ]
+    /// Arbitrary values for the round-trip property: floats from any bit
+    /// pattern (with `-0.0`, ±inf and NaN payloads forced often), integers
+    /// within the range `Json::Num` holds exactly, and strings with
+    /// escapes and non-ASCII text.
+    pub(super) trait Arb {
+        fn arb(rng: &mut TestRng) -> Self;
     }
 
-    #[test]
-    fn every_event_round_trips() {
-        for event in samples() {
-            let line = event.to_json();
-            assert!(!line.contains('\n'), "{line}");
-            let back =
-                TraceEvent::parse(&line).unwrap_or_else(|e| panic!("parse failed for {line}: {e}"));
-            assert_eq!(back, event, "{line}");
+    impl Arb for u64 {
+        fn arb(rng: &mut TestRng) -> Self {
+            (0..=1u64 << 53).generate(rng)
+        }
+    }
+
+    impl Arb for u32 {
+        fn arb(rng: &mut TestRng) -> Self {
+            (0..=u32::MAX).generate(rng)
+        }
+    }
+
+    impl Arb for i64 {
+        fn arb(rng: &mut TestRng) -> Self {
+            (-(1i64 << 53)..=1i64 << 53).generate(rng)
+        }
+    }
+
+    impl Arb for f64 {
+        fn arb(rng: &mut TestRng) -> Self {
+            let bits = any::<u64>().generate(rng);
+            match (0..8u32).generate(rng) {
+                0 => -0.0,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                // All-ones exponent and a non-zero mantissa: a NaN with an
+                // arbitrary sign and payload.
+                3 => f64::from_bits(bits | 0x7ff0_0000_0000_0001),
+                _ => f64::from_bits(bits),
+            }
+        }
+    }
+
+    impl Arb for bool {
+        fn arb(rng: &mut TestRng) -> Self {
+            any::<bool>().generate(rng)
+        }
+    }
+
+    impl Arb for String {
+        fn arb(rng: &mut TestRng) -> Self {
+            "[a-z0-9 \"\\\\/\n\r\t\u{1}\u{1f}{}:,é¢☃😀]{0,12}".generate(rng)
+        }
+    }
+
+    impl<T: Arb> Arb for Option<T> {
+        fn arb(rng: &mut TestRng) -> Self {
+            bool::arb(rng).then(|| T::arb(rng))
+        }
+    }
+
+    impl<T: Arb> Arb for Vec<T> {
+        fn arb(rng: &mut TestRng) -> Self {
+            let n = (0..4usize).generate(rng);
+            (0..n).map(|_| T::arb(rng)).collect()
+        }
+    }
+
+    /// One arbitrary event of every kind.
+    struct EveryKind;
+
+    impl Strategy for EveryKind {
+        type Value = Vec<TraceEvent>;
+        fn generate(&self, rng: &mut TestRng) -> Vec<TraceEvent> {
+            TraceEvent::arbitrary_each(rng)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn every_kind_round_trips_bit_exactly(events in EveryKind) {
+            for event in events {
+                let line = event.to_json();
+                prop_assert!(!line.contains('\n'), "{line}");
+                let back = TraceEvent::parse(&line)
+                    .unwrap_or_else(|e| panic!("parse failed for {line}: {e}"));
+                prop_assert_eq!(back.to_json(), line);
+            }
         }
     }
 
     #[test]
     fn names_are_distinct() {
-        let mut seen = std::collections::HashSet::new();
-        for event in samples() {
-            seen.insert(event.name());
-        }
-        assert_eq!(seen.len(), 21);
+        let events = TraceEvent::arbitrary_each(&mut TestRng::from_seed(1));
+        let names: Vec<&str> = events.iter().map(TraceEvent::name).collect();
+        assert_eq!(names, TraceEvent::KINDS);
+        let distinct: std::collections::HashSet<_> = names.iter().collect();
+        assert_eq!(distinct.len(), TraceEvent::KINDS.len());
     }
 
     #[test]
@@ -1490,10 +831,6 @@ mod tests {
         let line = event.to_json();
         assert!(!line.contains("\"req\""), "{line}");
         assert_eq!(TraceEvent::parse(&line).unwrap(), event);
-        // Legacy lines without the field parse with req = 0.
-        let legacy = "{\"event\":\"span_start\",\"id\":43,\"parent\":null,\
-                      \"tid\":2,\"label\":\"preprocess\",\"detail\":\"\"}";
-        assert_eq!(TraceEvent::parse(legacy).unwrap(), event);
     }
 
     #[test]
@@ -1510,7 +847,7 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_mse_encodes_as_null() {
+    fn non_finite_floats_encode_as_bits() {
         let event = TraceEvent::RegressionFit {
             target: 0,
             label: "Bmi".into(),
@@ -1518,16 +855,35 @@ mod tests {
             rows: 0,
         };
         let line = event.to_json();
-        assert!(line.contains("\"training_mse\":null"), "{line}");
-        match TraceEvent::parse(&line).unwrap() {
-            TraceEvent::RegressionFit { training_mse, .. } => assert!(training_mse.is_nan()),
-            other => panic!("{other:?}"),
-        }
+        assert!(
+            line.contains("\"training_mse\":\"bits:7ff0000000000000\""),
+            "{line}"
+        );
+        assert_eq!(TraceEvent::parse(&line).unwrap(), event);
+    }
+
+    #[test]
+    fn decode_errors_name_the_tag_and_field() {
+        let err = TraceEvent::parse("{\"event\":\"trio_size\",\"n_targets\":1}").unwrap_err();
+        assert_eq!(err, "trio_size: missing integer \"n_attrs\"");
+        let err =
+            TraceEvent::parse("{\"event\":\"trio_size\",\"n_targets\":4294967296,\"n_attrs\":1}")
+                .unwrap_err();
+        assert_eq!(err, "trio_size: \"n_targets\" out of range");
+        let err = TraceEvent::parse(
+            "{\"event\":\"phase_spend\",\"phase\":\"x\",\"spent_millicents\":0,\
+             \"delta_millicents\":0,\"delta_questions\":0,\"by_kind\":[{\"kind\":\"v\"}]}",
+        )
+        .unwrap_err();
+        assert_eq!(err, "by_kind: missing integer \"questions\"");
     }
 
     #[test]
     fn unknown_tag_rejected() {
-        assert!(TraceEvent::parse("{\"event\":\"nope\"}").is_err());
+        assert_eq!(
+            TraceEvent::parse("{\"event\":\"nope\"}").unwrap_err(),
+            "unknown event tag \"nope\""
+        );
         assert!(TraceEvent::parse("not json").is_err());
         assert!(TraceEvent::parse("{\"no_tag\":1}").is_err());
     }

@@ -5,8 +5,10 @@
 //! `disq-bench`'s harness records — serialization is string assembly and
 //! parsing is a small self-contained scanner. Only the subset the trace
 //! format uses is supported: objects, arrays, strings, numbers, booleans
-//! and `null`. Non-finite floats serialize as `null` (JSON has no NaN)
-//! and parse back as `f64::NAN`.
+//! and `null`. JSON has no NaN or infinity: [`write_f64`] writes a
+//! non-finite float as `null` (read back as `f64::NAN`), while the exact
+//! codec of traces and the plan store ([`write_f64_exact`] /
+//! [`Json::as_f64_exact`]) keeps every bit pattern.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -53,6 +55,22 @@ impl Json {
             Json::Num(n) => Some(*n),
             Json::Null => Some(f64::NAN),
             _ => None,
+        }
+    }
+
+    /// A float written by [`write_f64_exact`]: a number, or a
+    /// `"bits:<16 hex digits>"` string. `null`, the older encoding of any
+    /// non-finite float, reads as NaN.
+    pub fn as_f64_exact(&self) -> Option<f64> {
+        match self {
+            Json::Str(s) => {
+                let hex = s.strip_prefix("bits:")?;
+                if hex.len() != 16 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+                    return None;
+                }
+                u64::from_str_radix(hex, 16).ok().map(f64::from_bits)
+            }
+            other => other.as_f64(),
         }
     }
 
@@ -117,6 +135,18 @@ pub fn write_f64(out: &mut String, v: f64) {
         // required for parsing, skipped to keep output minimal.
     } else {
         out.push_str("null");
+    }
+}
+
+/// Appends a float so that [`Json::as_f64_exact`] reads back the same
+/// bits: the shortest round-trip decimal when finite (`-0.0` stays
+/// `-0`), else `"bits:<16 hex digits>"` of its IEEE-754 pattern, so
+/// ±inf and NaN payloads survive.
+pub fn write_f64_exact(out: &mut String, v: f64) {
+    if v.is_finite() {
+        write_f64(out, v);
+    } else {
+        let _ = write!(out, "\"bits:{:016x}\"", v.to_bits());
     }
 }
 
@@ -339,6 +369,27 @@ mod tests {
             write_f64(&mut s, v);
             let back = parse(&s).unwrap().as_f64().unwrap();
             assert_eq!(back.to_bits(), v.to_bits(), "{v} -> {s} -> {back}");
+        }
+    }
+
+    #[test]
+    fn exact_floats_keep_every_bit_pattern() {
+        for bits in [
+            0x8000_0000_0000_0000u64, // -0.0
+            0x7ff0_0000_0000_0000,    // +inf
+            0xfff0_0000_0000_0000,    // -inf
+            0x7ff8_0000_dead_beef,    // quiet NaN with a payload
+            0xfff0_0000_0000_0001,    // negative signalling NaN
+            0x3fd5_5555_5555_5555,    // 1/3
+        ] {
+            let mut s = String::new();
+            write_f64_exact(&mut s, f64::from_bits(bits));
+            let back = parse(&s).unwrap().as_f64_exact().unwrap();
+            assert_eq!(back.to_bits(), bits, "{s}");
+        }
+        assert!(parse("null").unwrap().as_f64_exact().unwrap().is_nan());
+        for bad in ["\"bits:7ff\"", "\"bits:+7ff000000000000\"", "\"x\"", "true"] {
+            assert_eq!(parse(bad).unwrap().as_f64_exact(), None, "{bad}");
         }
     }
 

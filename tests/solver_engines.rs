@@ -4,11 +4,11 @@
 //! attributes discovered — must be identical whichever engine priced the
 //! greedy grants, across domains and seeds.
 
-use disq::core::components::budget_dist::{with_engine, SolverEngine};
+use disq::core::components::budget_dist::{find_budget_distribution, with_engine, SolverEngine};
 use disq::core::{preprocess, DisqConfig, PreprocessOutput};
 use disq::crowd::{CrowdConfig, Money, PricingModel, SimulatedCrowd};
 use disq::domain::domains::{pictures, recipes};
-use disq::domain::{DomainSpec, Population};
+use disq::domain::{AttributeKind, DomainSpec, Population};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -76,14 +76,43 @@ fn engines_identical_on_recipes() {
     assert_outputs_identical(&dense, &inc, "recipes/Protein seed 6");
 }
 
+/// On the final trio of a real preprocessing run, the two engines pick
+/// the identical allocation at every online budget, and their objectives
+/// agree to 1e-9 relative.
 #[test]
-fn check_engine_passes_end_to_end() {
-    // The check engine runs both solvers on every call and panics on any
-    // disagreement — a full preprocess under it is a deep equivalence
-    // sweep over every solve the pipeline issues (main, refine,
-    // fallback, and all loss probes).
+fn engines_agree_on_objectives_end_to_end() {
     let spec = Arc::new(pictures::spec());
-    let checked = run(&spec, "Bmi", 1, SolverEngine::Check);
-    let inc = run(&spec, "Bmi", 1, SolverEngine::Incremental);
-    assert_outputs_identical(&checked, &inc, "check vs incremental");
+    let pricing = PricingModel::paper();
+    for seed in [1, 7] {
+        let out = run(&spec, "Bmi", seed, SolverEngine::Incremental);
+        let costs: Vec<Money> = out
+            .pool_labels
+            .iter()
+            .map(|label| {
+                let kind = spec
+                    .id_of(label)
+                    .map_or(AttributeKind::Numeric, |id| spec.attr(id).kind);
+                pricing.value_price(kind)
+            })
+            .collect();
+        for cents in [0.5, 1.0, 2.0, 4.0, 8.0] {
+            let budget = Money::from_cents(cents);
+            let solve = |engine| {
+                with_engine(engine, || {
+                    find_budget_distribution(&out.trio, &out.weights, budget, &costs)
+                })
+                .unwrap()
+            };
+            let (b_dense, obj_dense) = solve(SolverEngine::Dense);
+            let (b_inc, obj_inc) = solve(SolverEngine::Incremental);
+            assert_eq!(
+                b_dense, b_inc,
+                "seed {seed}, {cents}¢: allocations diverged"
+            );
+            assert!(
+                (obj_inc - obj_dense).abs() <= 1e-9 * obj_dense.abs().max(1.0),
+                "seed {seed}, {cents}¢: objectives disagree: incremental {obj_inc} vs dense {obj_dense}"
+            );
+        }
+    }
 }
