@@ -6,9 +6,11 @@
 //!
 //! Timing is hand-rolled (median of repeated batches) because the
 //! environment cannot fetch `criterion`; output is one aligned line per
-//! kernel with median and total iteration count.
+//! kernel with median and total iteration count, plus one speedup line
+//! per dense-vs-incremental budget-solver size. Nothing is written to
+//! disk: the gated, seeded solver measurement is `disq-benchmark`'s
+//! `plan_cold` workload (see `disq-benchmark/README.md`).
 
-use disq_bench::harness::{record, HarnessTimings};
 use disq_core::components::budget_dist::{find_budget_distribution, with_engine, SolverEngine};
 use disq_core::{preprocess, DisqConfig};
 use disq_crowd::{CrowdConfig, Money, PricingModel, SimulatedCrowd};
@@ -21,20 +23,9 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One measured kernel: the median per-iteration time plus the raw
-/// totals, so callers can persist a throughput row.
-struct Timing {
-    /// Median seconds per iteration across batches.
-    median_secs: f64,
-    /// Iterations executed during the sampling phase.
-    iters: u64,
-    /// Wall-clock seconds of the sampling phase.
-    wall_secs: f64,
-}
-
 /// Runs `f` in timed batches for ~0.5 s, prints the median batch time
-/// per iteration, and returns the measurement.
-fn bench(name: &str, mut f: impl FnMut()) -> Timing {
+/// per iteration, and returns that median in seconds.
+fn bench(name: &str, mut f: impl FnMut()) -> f64 {
     // Warm-up + batch sizing: aim for batches of ≥ 1 ms.
     let mut iters = 1u64;
     loop {
@@ -48,16 +39,13 @@ fn bench(name: &str, mut f: impl FnMut()) -> Timing {
         iters *= 2;
     }
     let mut samples = Vec::new();
-    let mut wall = 0.0;
     let budget = Instant::now();
     while budget.elapsed() < Duration::from_millis(500) && samples.len() < 64 {
         let t = Instant::now();
         for _ in 0..iters {
             f();
         }
-        let secs = t.elapsed().as_secs_f64();
-        wall += secs;
-        samples.push(secs / iters as f64);
+        samples.push(t.elapsed().as_secs_f64() / iters as f64);
     }
     samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let median = samples[samples.len() / 2];
@@ -70,11 +58,7 @@ fn bench(name: &str, mut f: impl FnMut()) -> Timing {
         "{name:<44} {unit:>12}   ({} samples x {iters} iters)",
         samples.len()
     );
-    Timing {
-        median_secs: median,
-        iters: samples.len() as u64 * iters,
-        wall_secs: wall,
-    }
+    median
 }
 
 fn random_matrix(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix {
@@ -120,25 +104,6 @@ fn dominant_trio(n: usize, rng: &mut StdRng) -> StatsTrio {
     }
     t.set_target_variance(0, 1.0).unwrap();
     t
-}
-
-/// A throughput row for one budget-distribution kernel measurement:
-/// `units` solves in `wall_secs`, keyed by problem size rather than
-/// thread count (`budget_dist@k16`).
-fn kernel_row(name: String, t: &Timing) -> HarnessTimings {
-    HarnessTimings {
-        experiment: name,
-        threads: 1,
-        cells: 1,
-        reps: 1,
-        units: t.iters as usize,
-        wall_secs: t.wall_secs,
-        cache_hits: 0,
-        cache_misses: 0,
-        summary: disq_trace::RunSummary::default(),
-        peak_alloc_bytes: 0,
-        serve: None,
-    }
 }
 
 fn main() {
@@ -220,10 +185,7 @@ fn main() {
     }
 
     // Dense vs incremental engines head-to-head on the full greedy
-    // solve. The incremental medians land in `BENCH_harness.json` as
-    // `budget_dist@k{8,16,32}` rows (the dense counterparts as
-    // `budget_dist_dense@k{n}`), so the speedup is kept on disk and the
-    // perf gate can see regressions.
+    // solve, one `budget_dist@k<n>` speedup line per size.
     let mut rng = StdRng::seed_from_u64(7);
     for n in [8usize, 16, 32] {
         let t = dominant_trio(n, &mut rng);
@@ -252,10 +214,8 @@ fn main() {
             .counter(disq_trace::Counter::SolverFallbacks);
         println!(
             "budget_dist@k{n:<37} speedup {:.1}x   (dense fallbacks: {fallbacks})",
-            dense.median_secs / inc.median_secs
+            dense / inc
         );
-        record(&kernel_row(format!("budget_dist@k{n}"), &inc)).unwrap();
-        record(&kernel_row(format!("budget_dist_dense@k{n}"), &dense)).unwrap();
     }
 
     let mut rng = StdRng::seed_from_u64(2);

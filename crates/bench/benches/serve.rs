@@ -1,8 +1,8 @@
 //! The `disq-serve` load generator: `cargo bench -p disq-bench --bench
 //! serve`. Spins an in-process daemon and hammers it with a Zipf-skewed
-//! attribute mix; records `serve_cold@c1` plus one `serve@c<conns>` row
-//! per connection count in `BENCH_harness.json` (p50/p99 µs, QPS,
-//! questions/query, plan-cache hit rate). Knobs: `DISQ_SERVE_NS`
+//! attribute mix; prints `serve_cold@c1` plus one `serve@c<conns>` row
+//! per connection count (p50/p90/p99 µs, QPS, questions/query,
+//! plan-cache hit rate) and the warm-vs-cold speedup. Knobs: `DISQ_SERVE_NS`
 //! (queries per connection, default 120), `DISQ_SERVE_CONNS`
 //! (connection sweep, default 1,8,32 — CI smokes `4`).
 

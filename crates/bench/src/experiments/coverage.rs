@@ -82,7 +82,7 @@ fn coverage_once(
 pub fn run(reps: usize) -> String {
     let cache = WorldCache::new();
     let groups = CASES.len() * STRATEGIES.len();
-    let (fractions, timings) = run_units("coverage", groups, reps, Some(&cache), |i| {
+    let (fractions, timings) = run_units(groups, reps, Some(&cache), |i| {
         let case = i / (STRATEGIES.len() * reps);
         let rem = i % (STRATEGIES.len() * reps);
         let (domain, target) = CASES[case];

@@ -67,5 +67,5 @@ pub fn run(reps: usize) -> String {
             |r, c| Cell::new(domain, targets, STRATEGIES[c], b_prc_fixed(), obj[r]),
         );
     }
-    plan.run("fig1", reps)
+    plan.run(reps)
 }

@@ -38,7 +38,7 @@ pub fn run(reps: usize) -> String {
             }
         }
     }
-    let (results, timings) = run_experiment("fig2", &cells, reps);
+    let (results, timings) = run_experiment(&cells, reps);
 
     let mut out = String::new();
     let per_query = STRATEGIES.len() * sweep.len();

@@ -70,5 +70,5 @@ pub fn run(reps: usize) -> String {
         },
     );
 
-    plan.run("fig4", reps)
+    plan.run(reps)
 }

@@ -78,8 +78,8 @@ impl SweepPlan {
 
     /// Executes every planned cell through the parallel harness and
     /// renders the tables plus the harness timing footer.
-    pub fn run(self, name: &str, reps: usize) -> String {
-        let (results, timings) = crate::harness::run_experiment(name, &self.cells, reps);
+    pub fn run(self, reps: usize) -> String {
+        let (results, timings) = crate::harness::run_experiment(&self.cells, reps);
         let mut out = String::new();
         for t in &self.tables {
             let header_refs: Vec<&str> = t.header.iter().map(String::as_str).collect();

@@ -136,5 +136,5 @@ pub fn run(reps: usize) -> String {
         },
     );
 
-    plan.run("robustness", reps)
+    plan.run(reps)
 }

@@ -6,15 +6,16 @@
 //! value questions, spam filtering, regression assembly) over *every*
 //! object of a freshly sampled population, with the
 //! [`disq_trace`] allocation watermark enabled around the measured
-//! region. The recorded `fig1@n<size>` rows carry `units_per_sec` and
-//! `peak_alloc_bytes`, so `disq-insight compare --max-alloc-growth` can
-//! gate both time and memory: if either stops scaling linearly in n, the
-//! ratio between adjacent rows drifts and the gate trips.
+//! region. Each printed row carries wall time, objects per second and
+//! the peak heap, so a curve that stops scaling linearly in n shows as
+//! drifting ratios between adjacent rows. The gated measurement of the
+//! same kernel at 10⁶ objects is `disq-benchmark`'s `scan_1m` workload
+//! (see `disq-benchmark/README.md`).
 //!
 //! Sweep sizes come from `DISQ_SCALE_NS` (comma-separated object
 //! counts); CI uses that to smoke-test the n = 10⁵ point only.
 
-use crate::harness::HarnessTimings;
+use crate::harness::per_sec;
 use crate::report::Table;
 use disq_core::online::{estimate_objects_into, EstimateScratch};
 use disq_core::{EvaluationPlan, PlannedAttribute, TargetRegression};
@@ -88,8 +89,8 @@ pub fn run() -> String {
     run_sizes(&sizes_from_env())
 }
 
-/// Runs the scale sweep at the given object counts, recording one
-/// `fig1@n<size>` harness row per size.
+/// Runs the scale sweep at the given object counts, one table row per
+/// size.
 pub fn run_sizes(sizes: &[usize]) -> String {
     let spec = Arc::new(pictures::spec());
     let plan = scale_plan(&spec);
@@ -111,24 +112,10 @@ pub fn run_sizes(sizes: &[usize]) -> String {
         std::hint::black_box(&estimates);
         let wall = start.elapsed().as_secs_f64();
         let peak = disq_trace::watermark_stop();
-        let timings = HarnessTimings {
-            experiment: format!("fig1@n{n}"),
-            threads: 1,
-            cells: 1,
-            reps: 1,
-            units: n,
-            wall_secs: wall,
-            cache_hits: 0,
-            cache_misses: 0,
-            summary: disq_trace::RunSummary::default(),
-            peak_alloc_bytes: peak,
-            serve: None,
-        };
-        crate::harness::persist(&timings);
         table.row(vec![
             n.to_string(),
             format!("{wall:.2}"),
-            format!("{:.0}", timings.units_per_sec()),
+            format!("{:.0}", per_sec(n, wall)),
             format!("{:.1}", peak as f64 / (1024.0 * 1024.0)),
         ]);
     }
@@ -148,8 +135,7 @@ mod tests {
 
     #[test]
     fn small_sweep_produces_rows_and_linearish_scaling() {
-        // Tiny sizes keep the test fast; persistence is skipped in test
-        // builds unless DISQ_HARNESS_JSON is set.
+        // Tiny sizes keep the test fast.
         let out = run_sizes(&[400, 800]);
         assert!(out.contains("400"), "{out}");
         assert!(out.contains("800"), "{out}");

@@ -1,16 +1,16 @@
 //! `disq-serve` load generator: hammers an in-process daemon with a
 //! Zipf-skewed attribute mix over `c` concurrent keep-alive connections
-//! and records one `serve@c<conns>` harness row per connection count
-//! (p50/p99 latency in µs, QPS, crowd questions per query, plan-cache
-//! hit rate), plus a `serve_cold@c1` baseline with the plan cache
-//! disabled — the row pair that backs the "warm QPS ≥ 5× cold" claim.
+//! and prints one `serve@c<conns>` table row per connection count
+//! (p50/p90/p99 latency in µs, QPS, crowd questions per query,
+//! plan-cache hit rate), plus a `serve_cold@c1` baseline with the plan
+//! cache disabled and the warm-vs-cold speedup line. The gated serving
+//! numbers come from `disq-benchmark` (see `disq-benchmark/README.md`).
 //!
 //! Knobs: `DISQ_SERVE_NS` (queries per connection, default 120) and
 //! `DISQ_SERVE_CONNS` (comma-separated connection counts, default
 //! 1,8,32). CI smoke-tests `DISQ_SERVE_CONNS=4` with a small
 //! `DISQ_SERVE_NS`.
 
-use crate::harness::{HarnessTimings, ServeStats};
 use crate::report::Table;
 use disq_serve::{Engine, QueryServer, ServeConfig};
 use rand::rngs::StdRng;
@@ -131,6 +131,24 @@ fn read_response(stream: &mut TcpStream) -> u16 {
     status
 }
 
+/// Latency/throughput facts of one load-generator run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ServeStats {
+    /// Median request latency in microseconds.
+    pub p50_us: u64,
+    /// 90th-percentile request latency in microseconds — the "almost
+    /// everyone" latency, less noisy than p99 at small query counts.
+    pub p90_us: u64,
+    /// 99th-percentile request latency in microseconds.
+    pub p99_us: u64,
+    /// Completed queries per wall-clock second across all connections.
+    pub qps: f64,
+    /// Crowd questions actually asked per query (after coalescing).
+    pub questions_per_query: f64,
+    /// Plan-cache hit rate over the measured window.
+    pub plan_cache_hit_rate: f64,
+}
+
 fn percentile_us(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
@@ -141,8 +159,11 @@ fn percentile_us(sorted: &[u64], q: f64) -> u64 {
 
 /// One load-generator row: `conns` client threads, each issuing
 /// `queries` keep-alive requests against a fresh in-process daemon.
-/// Returns the recorded timings (already persisted outside tests).
-pub fn run_load(name: &str, conns: usize, queries: usize, plan_cache: bool) -> HarnessTimings {
+///
+/// Panics unless the run made progress (QPS > 0) and, with the plan
+/// cache on, the measured window after the warm phase was all
+/// plan-cache hits.
+pub fn run_load(conns: usize, queries: usize, plan_cache: bool) -> ServeStats {
     let config = ServeConfig {
         population: 300,
         seed: 42,
@@ -215,21 +236,14 @@ pub fn run_load(name: &str, conns: usize, queries: usize, plan_cache: bool) -> H
             hits as f64 / lookups as f64
         },
     };
-    let timings = HarnessTimings {
-        experiment: name.to_string(),
-        threads: conns,
-        cells: conns,
-        reps: queries,
-        units: conns * queries,
-        wall_secs: wall,
-        cache_hits: hits as usize,
-        cache_misses: misses as usize,
-        summary: disq_trace::RunSummary::default(),
-        peak_alloc_bytes: 0,
-        serve: Some(serve),
-    };
-    crate::harness::persist(&timings);
-    timings
+    assert!(serve.qps > 0.0, "load run made no progress: {serve:?}");
+    if plan_cache {
+        assert!(
+            lookups > 0 && misses == 0,
+            "warm window must be all plan-cache hits ({hits} hits, {misses} misses)"
+        );
+    }
+    serve
 }
 
 fn connect(addr: SocketAddr) -> TcpStream {
@@ -258,36 +272,33 @@ pub fn run_sweep(conns: &[usize], queries: usize) -> String {
     // count — each query pays a full preprocess, so this is the
     // recompute-per-query world the plan cache exists to beat.
     let cold_queries = (queries / 4).max(4);
-    let cold = run_load("serve_cold@c1", 1, cold_queries, false);
-    push_row(&mut table, &cold);
+    let cold = run_load(1, cold_queries, false);
+    push_row(&mut table, "serve_cold@c1", 1, cold_queries, &cold);
 
     let mut warm_qps_at_c1 = None;
     for &c in conns {
-        let row = run_load(&format!("serve@c{c}"), c, queries, true);
+        let row = run_load(c, queries, true);
         if c == 1 {
-            warm_qps_at_c1 = row.serve.map(|s| s.qps);
+            warm_qps_at_c1 = Some(row.qps);
         }
-        push_row(&mut table, &row);
+        push_row(&mut table, &format!("serve@c{c}"), c, queries, &row);
     }
 
     let mut out = table.render();
-    if let (Some(warm), Some(cold_stats)) = (warm_qps_at_c1, cold.serve) {
-        if cold_stats.qps > 0.0 {
-            out.push_str(&format!(
-                "plan cache speedup: warm c=1 runs {:.1}x the cold recompute-per-query baseline\n",
-                warm / cold_stats.qps
-            ));
-        }
+    if let Some(warm) = warm_qps_at_c1 {
+        out.push_str(&format!(
+            "plan cache speedup: warm c=1 runs {:.1}x the cold recompute-per-query baseline\n",
+            warm / cold.qps
+        ));
     }
     out
 }
 
-fn push_row(table: &mut Table, t: &HarnessTimings) {
-    let s = t.serve.expect("load rows carry serve stats");
+fn push_row(table: &mut Table, name: &str, conns: usize, queries: usize, s: &ServeStats) {
     table.row(vec![
-        t.key(),
-        t.threads.to_string(),
-        t.units.to_string(),
+        name.to_string(),
+        conns.to_string(),
+        (conns * queries).to_string(),
         s.p50_us.to_string(),
         s.p90_us.to_string(),
         s.p99_us.to_string(),
@@ -329,21 +340,15 @@ mod tests {
     }
 
     #[test]
-    fn tiny_load_run_records_serve_stats() {
-        // 2 connections × 3 queries against a real daemon; persistence
-        // is skipped in test builds unless DISQ_HARNESS_JSON is set.
-        let t = run_load("serve@c2", 2, 3, true);
-        assert_eq!(t.key(), "serve@c2");
-        assert_eq!(t.units, 6);
-        let s = t.serve.expect("serve stats");
+    fn tiny_load_run_reports_serve_stats() {
+        // 2 connections × 3 queries against a real daemon.
+        let s = run_load(2, 3, true);
         assert!(s.p90_us >= s.p50_us && s.p99_us >= s.p90_us);
         assert!(s.qps > 0.0);
-        assert!(
-            (s.plan_cache_hit_rate - 1.0).abs() < 1e-12,
-            "warm window must be all hits: {s:?}"
-        );
-        let json = t.to_json();
-        assert!(json.contains("\"experiment\":\"serve@c2\""), "{json}");
-        assert!(json.contains("\"serve\":{\"p50_us\":"), "{json}");
+        assert_eq!(s.plan_cache_hit_rate, 1.0, "warm window must be all hits");
+        let out = run_sweep(&[1], 4);
+        assert!(out.contains("serve_cold@c1"), "{out}");
+        assert!(out.contains("serve@c1"), "{out}");
+        assert!(out.contains("plan cache speedup"), "{out}");
     }
 }

@@ -69,7 +69,7 @@ pub fn run(_reps: usize) -> String {
             42,
         ),
     ];
-    let (tables, timings) = crate::harness::run_units("table4", halves.len(), 1, None, |i| {
+    let (tables, timings) = crate::harness::run_units(halves.len(), 1, None, |i| {
         let (domain, attrs, seed) = halves[i];
         domain_rows(domain, attrs, seed).render()
     });

@@ -90,7 +90,7 @@ pub fn run(_reps: usize) -> String {
             52,
         ),
     ];
-    let (tables, timings) = crate::harness::run_units("table5", halves.len(), 1, None, |i| {
+    let (tables, timings) = crate::harness::run_units(halves.len(), 1, None, |i| {
         let (domain, targets, attrs, seed) = halves[i];
         stats_table(domain, targets, attrs, seed).render()
     });

@@ -5,16 +5,16 @@
 //! Each size runs the same query with per-worker lognormal noise
 //! multipliers and a spammer subpopulation planted (the
 //! `DISQ_WORKER_MODEL=hetero` configuration, set programmatically here),
-//! and records one `fig1@w<pool>` harness row — wall clock plus the
-//! realized query error in the report table. Against the homogeneous
-//! `fig1` rows this isolates both the cost of the provenance layer (it
-//! should be ~free: one extra RNG stream) and the error inflation a
-//! heterogeneous crowd causes at fixed budgets.
+//! and prints one table row per pool size — wall clock plus the realized
+//! query error. Against the homogeneous fig. 1 tables this isolates both
+//! the cost of the provenance layer (it should be ~free: one extra RNG
+//! stream) and the error inflation a heterogeneous crowd causes at fixed
+//! budgets.
 //!
 //! Pool sizes come from `DISQ_WORKER_NS` (comma-separated counts); CI
 //! smoke-tests a single small pool.
 
-use crate::harness::HarnessTimings;
+use crate::harness::per_sec;
 use crate::report::Table;
 use crate::runner::{run_cell, Cell, DomainKind, StrategyKind};
 use disq_baselines::Baseline;
@@ -68,8 +68,8 @@ pub fn run() -> String {
     run_pools(&pools_from_env())
 }
 
-/// Runs the heterogeneity sweep at the given pool sizes, recording one
-/// `fig1@w<pool>` harness row per size.
+/// Runs the heterogeneity sweep at the given pool sizes, one table row
+/// per size.
 pub fn run_pools(pools: &[usize]) -> String {
     let mut table = Table::new(
         "Worker heterogeneity: Fig 1a cell under DISQ_WORKER_MODEL=hetero",
@@ -86,25 +86,11 @@ pub fn run_pools(pools: &[usize]) -> String {
             }
         }
         let wall = start.elapsed().as_secs_f64();
-        let timings = HarnessTimings {
-            experiment: format!("fig1@w{pool}"),
-            threads: 1,
-            cells: 1,
-            reps: REPS as usize,
-            units: REPS as usize,
-            wall_secs: wall,
-            cache_hits: 0,
-            cache_misses: 0,
-            summary: disq_trace::RunSummary::default(),
-            peak_alloc_bytes: 0,
-            serve: None,
-        };
-        crate::harness::persist(&timings);
         let mean = errors.iter().sum::<f64>() / errors.len() as f64;
         table.row(vec![
             pool.to_string(),
             format!("{wall:.2}"),
-            format!("{:.2}", timings.units_per_sec()),
+            format!("{:.2}", per_sec(REPS as usize, wall)),
             format!("{mean:.4}"),
         ]);
     }

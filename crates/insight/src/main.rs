@@ -1,22 +1,20 @@
-//! The `disq-insight` CLI: run reports, Err(b) calibration scoring and
-//! perf-regression gating over DisQ trace artifacts.
+//! The `disq-insight` CLI: run reports, Err(b) calibration scoring,
+//! query explanations and span exports over DisQ trace artifacts.
 
-use disq_insight::{calib, compare, explain, flame, report, slow, timeline, trend, workers};
+use disq_insight::{calib, explain, flame, report, slow, timeline, workers};
 use disq_trace::TraceReader;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-disq-insight: analytics over DisQ trace files and harness benchmarks
+disq-insight: analytics over DisQ trace files
 
 usage:
   disq-insight report <trace.jsonl> [--json]
-                      [--harness <BENCH_harness.json> --key <experiment@tN>]
       Aggregate a JSONL trace into a run report: budget attribution,
-      dismantle decisions, SPRT summary, derived counters. With
-      --harness/--key, also render that row's kernel-timer histograms.
-      --json emits the aggregates as one JSON object instead.
+      dismantle decisions, SPRT summary, derived counters. --json emits
+      the aggregates as one JSON object instead.
 
   disq-insight explain <trace.jsonl> [--json]
       EXPLAIN ANALYZE for crowd queries: per-query error attribution
@@ -46,13 +44,6 @@ usage:
       unmatched ends), 3 when the file is missing or holds no request
       span.
 
-  disq-insight trend <BENCH_harness.json | *.history.jsonl> [--json]
-      Render per-experiment wall/throughput/peak-heap trajectories from
-      the append-only harness history, with per-step and end-to-end
-      deltas. Given the main snapshot, its rows become each
-      trajectory's newest point. Exits 3 when the history/snapshot file
-      is missing or holds no rows.
-
   disq-insight calib <trace.jsonl>
       Score the Err(b) error model against realized per-object MSE
       (requires eval_calibration events from a traced bench run).
@@ -70,23 +61,15 @@ usage:
       flamegraph.pl/speedscope, valued in self-microseconds, or
       self-allocated-bytes with --bytes.
 
-  disq-insight compare --baseline <a.json> --current <b.json>
-                       [--max-slowdown <ratio>] [--max-alloc-growth <ratio>]
-                       [--max-p99-growth <ratio>] [--no-counters]
-      Gate on performance: exit 1 when any row of <current> regressed
-      past the threshold (default 1.5x) relative to <baseline>, when
-      deterministic counters drifted on an identical workload, or when
-      traced allocation counts grew past --max-alloc-growth.
-      --max-p99-growth additionally gates the tail latency of the
-      serve load-generator rows (`serve@c<conns>`); it applies across
-      differing query counts, since p99 is per-request.
-
   disq-insight serve <trace.jsonl> is not a thing: live metrics come
       from the traced process itself via DISQ_METRICS_ADDR=127.0.0.1:PORT.
 
-exit codes: 0 = success, 1 = gate failure (perf regression, malformed
-ledger), 2 = usage error, 3 = no data (missing or empty input where an
-empty result is meaningful, not an error: explain, workers, trend).
+  Performance regressions are judged by the disq-benchmark package
+  (see disq-benchmark/README.md), not by this tool.
+
+exit codes: 0 = success, 1 = malformed input (ledger or slow dump),
+2 = usage error, 3 = no data (missing or empty input where an empty
+result is meaningful, not an error: explain, workers, slow).
 ";
 
 /// Exit code for "the input exists conceptually but holds no data" —
@@ -118,9 +101,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         Some("explain") => cmd_explain(&args[1..]),
         Some("workers") => cmd_workers(&args[1..]),
         Some("slow") => cmd_slow(&args[1..]),
-        Some("trend") => cmd_trend(&args[1..]),
         Some("calib") => cmd_calib(&args[1..]),
-        Some("compare") => cmd_compare(&args[1..]),
         Some("timeline") => cmd_timeline(&args[1..]),
         Some("flame") => cmd_flame(&args[1..]),
         Some("--help" | "-h" | "help") => {
@@ -146,14 +127,9 @@ fn open_report(path: &Path) -> Result<report::RunReport, String> {
 
 fn cmd_report(args: &[String]) -> Result<ExitCode, String> {
     let mut trace: Option<PathBuf> = None;
-    let mut harness: Option<PathBuf> = None;
-    let mut key: Option<String> = None;
     let mut json = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    for a in args {
         match a.as_str() {
-            "--harness" => harness = Some(next_value(&mut it, "--harness")?.into()),
-            "--key" => key = Some(next_value(&mut it, "--key")?),
             "--json" => json = true,
             _ if trace.is_none() => trace = Some(a.into()),
             other => return Err(format!("unexpected argument {other:?}")),
@@ -162,29 +138,10 @@ fn cmd_report(args: &[String]) -> Result<ExitCode, String> {
     let trace = trace.ok_or("report: missing <trace.jsonl>")?;
     let report = open_report(&trace)?;
     if json {
-        if harness.is_some() || key.is_some() {
-            return Err("report: --json does not combine with --harness/--key".into());
-        }
         out(&report.to_json());
         out("\n");
-        return Ok(ExitCode::SUCCESS);
-    }
-    out(&report.render());
-    match (harness, key) {
-        (Some(harness), Some(key)) => {
-            let rows = compare::load_rows(&harness)?;
-            let row = rows
-                .get(&key)
-                .ok_or_else(|| format!("key {key:?} not found in {}", harness.display()))?;
-            match &row.summary {
-                Some(summary) => out(&format!("\n{}", report::render_timers(summary))),
-                None => out(&format!(
-                    "\nrow {key} carries no run_summary (re-run with DISQ_TRACE)\n"
-                )),
-            }
-        }
-        (None, None) => {}
-        _ => return Err("--harness and --key must be given together".into()),
+    } else {
+        out(&report.render());
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -313,40 +270,6 @@ fn cmd_slow(args: &[String]) -> Result<ExitCode, String> {
     })
 }
 
-fn cmd_trend(args: &[String]) -> Result<ExitCode, String> {
-    let mut path: Option<PathBuf> = None;
-    let mut json = false;
-    for a in args {
-        match a.as_str() {
-            "--json" => json = true,
-            _ if path.is_none() => path = Some(a.into()),
-            other => return Err(format!("unexpected argument {other:?}")),
-        }
-    }
-    let path = path.ok_or("trend: missing <BENCH_harness.json | *.history.jsonl>")?;
-    if !path.exists() {
-        return no_data(format!(
-            "trend: {} does not exist — the harness writes it after the first \
-             benchmark run",
-            path.display()
-        ));
-    }
-    let report = trend::load(&path)?;
-    if report.series.is_empty() {
-        return no_data(format!(
-            "trend: no harness rows in {} — run a benchmark first",
-            path.display()
-        ));
-    }
-    if json {
-        out(&report.to_json());
-        out("\n");
-    } else {
-        out(&report.render());
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
 fn cmd_calib(args: &[String]) -> Result<ExitCode, String> {
     let [trace] = args else {
         return Err("calib: expected exactly <trace.jsonl>".into());
@@ -427,62 +350,6 @@ fn cmd_flame(args: &[String]) -> Result<ExitCode, String> {
         fg.render_tree()
     });
     Ok(ExitCode::SUCCESS)
-}
-
-fn cmd_compare(args: &[String]) -> Result<ExitCode, String> {
-    let mut baseline: Option<PathBuf> = None;
-    let mut current: Option<PathBuf> = None;
-    let mut cfg = compare::CompareConfig::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--baseline" => baseline = Some(next_value(&mut it, "--baseline")?.into()),
-            "--current" => current = Some(next_value(&mut it, "--current")?.into()),
-            "--max-slowdown" => {
-                let v: f64 = next_value(&mut it, "--max-slowdown")?
-                    .parse()
-                    .map_err(|e| format!("--max-slowdown: {e}"))?;
-                if v.is_nan() || v < 1.0 {
-                    return Err("--max-slowdown must be >= 1.0".into());
-                }
-                cfg.max_wall_slowdown = v;
-                cfg.max_throughput_drop = v;
-            }
-            "--max-alloc-growth" => {
-                let v: f64 = next_value(&mut it, "--max-alloc-growth")?
-                    .parse()
-                    .map_err(|e| format!("--max-alloc-growth: {e}"))?;
-                if v.is_nan() || v < 1.0 {
-                    return Err("--max-alloc-growth must be >= 1.0".into());
-                }
-                cfg.max_alloc_growth = v;
-            }
-            "--max-p99-growth" => {
-                let v: f64 = next_value(&mut it, "--max-p99-growth")?
-                    .parse()
-                    .map_err(|e| format!("--max-p99-growth: {e}"))?;
-                if v.is_nan() || v < 1.0 {
-                    return Err("--max-p99-growth must be >= 1.0".into());
-                }
-                cfg.max_p99_growth = Some(v);
-            }
-            "--no-counters" => cfg.check_counters = false,
-            other => return Err(format!("unexpected argument {other:?}")),
-        }
-    }
-    let baseline = baseline.ok_or("compare: missing --baseline")?;
-    let current = current.ok_or("compare: missing --current")?;
-    let outcome = compare::compare(
-        &compare::load_rows(&baseline)?,
-        &compare::load_rows(&current)?,
-        &cfg,
-    );
-    out(&outcome.render());
-    Ok(if outcome.passed() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
 }
 
 fn next_value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<String, String> {

@@ -15,7 +15,7 @@
 
 use crate::calib::CalibSample;
 use crate::table::{Align, Table};
-use disq_trace::{CandidateScore, Counter, RunSummary, Timer, TraceEvent, TraceReader};
+use disq_trace::{CandidateScore, Counter, TraceEvent, TraceReader};
 use std::fmt::Write as _;
 use std::io::BufRead;
 
@@ -719,56 +719,6 @@ impl RunReport {
         o.push_str("}}");
         o
     }
-}
-
-/// Renders the kernel-timer histograms of a [`RunSummary`] (as embedded
-/// in a `BENCH_harness.json` row) with p50/p90/p99 and a log₂ bar chart.
-pub fn render_timers(summary: &RunSummary) -> String {
-    let mut out = String::new();
-    let mut t = Table::new(&["kernel", "count", "p50", "p90", "p99", "mean"]).aligns(&[
-        Align::Left,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-    ]);
-    for timer in Timer::ALL {
-        let stats = summary.timer(timer);
-        if stats.count == 0 {
-            continue;
-        }
-        t.row(vec![
-            timer.name().to_string(),
-            stats.count.to_string(),
-            fmt_ns(stats.p50_ns()),
-            fmt_ns(stats.p90_ns()),
-            fmt_ns(stats.p99_ns()),
-            fmt_ns(stats.total_ns / stats.count),
-        ]);
-    }
-    if t.is_empty() {
-        return "no kernel timer samples recorded\n".into();
-    }
-    out.push_str("kernel timers:\n");
-    out.push_str(&t.render());
-    for timer in Timer::ALL {
-        let stats = summary.timer(timer);
-        if stats.count == 0 {
-            continue;
-        }
-        let max = stats.buckets.iter().copied().max().unwrap_or(1).max(1);
-        let _ = writeln!(out, "\n{} (log2 ns buckets):", timer.name());
-        for (i, &b) in stats.buckets.iter().enumerate() {
-            if b == 0 {
-                continue;
-            }
-            let upper = if i == 0 { 1u64 } else { 1u64 << i.min(63) };
-            let bar = "#".repeat(((b * 40).div_ceil(max)) as usize);
-            let _ = writeln!(out, "  <= {:>8}  {:>8}  {}", fmt_ns(upper), b, bar);
-        }
-    }
-    out
 }
 
 /// Milli-cents rendered as cents or dollars.

@@ -15,6 +15,10 @@ pub const MAX_HEAD_BYTES: usize = 8 * 1024;
 /// Maximum request body the server reads.
 pub const MAX_BODY_BYTES: usize = 64 * 1024;
 
+/// The served routes. Any other path is a 404, and its metrics count
+/// under `route="other"`.
+pub const ROUTES: [&str; 4] = ["/query", "/healthz", "/stats", "/metrics"];
+
 /// Content type of every JSON endpoint.
 pub const CT_JSON: &str = "application/json";
 /// Content type of the Prometheus text exposition (`/metrics`).
@@ -319,12 +323,14 @@ fn handle_query(
     Ok(Response::json(render_result(&attribute, &result, source)))
 }
 
-/// The `/metrics` body: counter/timer exposition plus every labelled
-/// gauge family (SLO compliance, burn rate, latency histograms, drift
-/// levels) in one scrape.
-fn metrics_body() -> String {
+/// The `/metrics` body: counter/timer exposition, the process-wide
+/// gauge families (drift levels, worker quality) and this engine's own
+/// serving gauges (SLO compliance, burn rate, latency histograms, plan
+/// cache) in one scrape.
+fn metrics_body(engine: &Engine) -> String {
     let mut body = disq_trace::prometheus_text(&disq_trace::summary());
     body.push_str(&disq_trace::gauge::render());
+    body.push_str(&engine.render_gauges());
     body
 }
 
@@ -340,11 +346,11 @@ pub fn handle(engine: &Engine, req: &Request) -> (Response, RequestMeta) {
         ("GET", "/stats") => Response::json(stats_body(engine)),
         ("GET", "/metrics") => Response {
             status: 200,
-            body: metrics_body(),
+            body: metrics_body(engine),
             close: false,
             content_type: CT_PROMETHEUS,
         },
-        (_, "/query") | (_, "/healthz") | (_, "/stats") | (_, "/metrics") => {
+        (_, path) if ROUTES.contains(&path) => {
             Response::error(405, &format!("method {} not allowed here", req.method))
         }
         (_, path) => Response::error(404, &format!("no such endpoint '{path}'")),

@@ -38,6 +38,7 @@ use disq_core::online::{evaluate_query, QueryResult};
 use disq_core::{preprocess, DisqConfig, PlanMeta, PlanStore, PreprocessOutput, PLAN_DIR_ENV};
 use disq_crowd::{BatcherConfig, CoalescingCrowd, CrowdConfig, Money, SimulatedCrowd};
 use disq_domain::{domains, DomainSpec, ObjectId, Population, Predicate, PredicateOp, Query};
+use disq_trace::gauge::GaugeSet;
 use disq_trace::Counter;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -418,7 +419,7 @@ impl Engine {
         if owns_recorder {
             disq_trace::install_recorder(Arc::new(disq_trace::FlightRecorder::new()));
         }
-        let obs = obs::Observer::new(&config);
+        let obs = obs::Observer::new(&config, &spec);
         Ok(Engine {
             spec,
             population,
@@ -522,42 +523,46 @@ impl Engine {
         let result = evaluate_query(&mut crowd, &plan.plan, &query, &object_ids)
             .map_err(|e| ServeError::Internal(format!("evaluation failed: {e}")))?;
         self.stats.queries.fetch_add(1, Ordering::Relaxed);
-        self.publish_gauges();
         Ok((result, source))
     }
 
-    /// Mirrors live serving state into the Prometheus gauge registry
-    /// (`DISQ_METRICS_ADDR` scrapes pick these up).
-    fn publish_gauges(&self) {
+    /// The serving gauges, rendered at scrape time from state the
+    /// engine owns: in-flight queries, the plan cache, questions per
+    /// query, and the per-route and per-attribute latency/SLO families.
+    /// Each engine reports only its own requests.
+    pub(crate) fn render_gauges(&self) -> String {
         let snap = self.snapshot();
-        disq_trace::gauge::set(
+        let mut set = GaugeSet::new();
+        set.set(
             "disq_serve_in_flight",
             "Queries currently in flight",
             &[],
             self.online.in_flight() as f64,
         );
-        disq_trace::gauge::set(
+        set.set(
             "disq_serve_plans_cached",
             "Plans resident in the in-memory cache",
             &[],
             self.plans.lock().unwrap_or_else(|e| e.into_inner()).len() as f64,
         );
-        disq_trace::gauge::set(
+        set.set(
             "disq_serve_plan_cache_hit_rate",
             "Fraction of plan lookups served from memory",
             &[],
             snap.hit_rate(),
         );
-        disq_trace::gauge::set(
+        set.set(
             "disq_serve_questions_per_query",
             "Mean crowd questions per answered query",
             &[],
             snap.questions_per_query(),
         );
+        self.obs.render_gauges(&mut set);
+        set.render()
     }
 
-    /// Records one finished request into the access log, the latency
-    /// histograms and SLO gauges, and — when it crossed the slow
+    /// Records one finished request into the access log and the latency
+    /// histograms and SLO state, and — when it crossed the slow
     /// threshold — dumps its causal trace slice from the flight
     /// recorder. Called by the server per request; tests may call it
     /// directly.

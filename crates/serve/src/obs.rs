@@ -4,14 +4,22 @@
 //! out of the process-global flight recorder.
 //!
 //! Everything here runs once per finished request, off the estimation
-//! hot path, so a couple of short mutexed map updates are fine. The log
+//! hot path, so a couple of short mutexed map updates are fine. The
+//! gauges are rendered from these maps at scrape time
+//! ([`Observer::render_gauges`]), never copied into the process-global
+//! registry, and their labels are bounded: a path other than the served
+//! routes counts as `route="other"`, and only attributes of the served
+//! domain get a histogram. The access log keeps the raw values. The log
 //! and dump writers follow the repo's telemetry failure contract: a
 //! write failure warns on stderr exactly once per process and
 //! increments a counter ([`Counter::AccessLogWriteErrors`] /
 //! [`Counter::SlowDumpWriteErrors`]) — serving itself never fails
 //! because a disk did.
 
+use crate::http::ROUTES;
 use crate::{PlanSource, ServeConfig};
+use disq_domain::DomainSpec;
+use disq_trace::gauge::GaugeSet;
 use disq_trace::json;
 use disq_trace::Counter;
 use std::collections::{HashMap, VecDeque};
@@ -20,7 +28,7 @@ use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// log₂ microsecond buckets: index i holds latencies ≤ 2^i µs (index 0
 /// covers ≤ 1 µs, the last bucket is unbounded).
@@ -74,6 +82,14 @@ impl RouteStats {
         }
     }
 
+    /// Rolling violation ratio over the window relative to the 1% budget
+    /// of a 99% SLO: 1.0 = burning exactly at budget; >1 = on course to
+    /// miss the SLO.
+    fn burn_rate(&self) -> f64 {
+        let violations = self.window.iter().filter(|&&v| v).count();
+        (violations as f64 / self.window.len() as f64) / 0.01
+    }
+
     /// Upper bound (µs) of the bucket holding the route's p99, once
     /// enough samples exist to make the estimate meaningful.
     fn p99_us(&self) -> Option<u64> {
@@ -92,6 +108,16 @@ impl RouteStats {
     }
 }
 
+/// The label a request path is accounted under: a served route by
+/// name, anything else as `other`.
+fn route_label(path: &str) -> &'static str {
+    ROUTES
+        .iter()
+        .find(|&&route| route == path)
+        .copied()
+        .unwrap_or("other")
+}
+
 fn bucket_of_us(us: u64) -> usize {
     ((64 - us.leading_zeros()) as usize).min(OBS_HIST_BUCKETS - 1)
 }
@@ -108,8 +134,10 @@ fn bucket_upper_us(i: usize) -> u64 {
 pub(crate) struct Observer {
     log: Option<Mutex<File>>,
     log_warned: AtomicBool,
-    routes: Mutex<HashMap<String, RouteStats>>,
+    routes: Mutex<HashMap<&'static str, RouteStats>>,
     attrs: Mutex<HashMap<String, [u64; OBS_HIST_BUCKETS]>>,
+    /// The served domain: only its attributes get a histogram.
+    spec: Arc<DomainSpec>,
     slow_us: Option<u64>,
     slow_dir: Option<PathBuf>,
     slo_us: u64,
@@ -119,7 +147,7 @@ impl Observer {
     /// Opens the access log (append mode) and captures the slow/SLO
     /// thresholds. A log that cannot be opened warns once here and
     /// disables access logging; it does not fail engine construction.
-    pub(crate) fn new(config: &ServeConfig) -> Observer {
+    pub(crate) fn new(config: &ServeConfig, spec: &Arc<DomainSpec>) -> Observer {
         let log = config.access_log.as_ref().and_then(|path| {
             match OpenOptions::new().create(true).append(true).open(path) {
                 Ok(f) => Some(Mutex::new(f)),
@@ -138,6 +166,7 @@ impl Observer {
             log_warned: AtomicBool::new(false),
             routes: Mutex::new(HashMap::new()),
             attrs: Mutex::new(HashMap::new()),
+            spec: Arc::clone(spec),
             slow_us: config.slow_us,
             slow_dir: config.slow_dir.clone(),
             slo_us: config.slo_us.max(1),
@@ -145,7 +174,7 @@ impl Observer {
     }
 
     /// Records one finished request: access-log line, histogram/SLO
-    /// update, gauge publication, slow-dump trigger.
+    /// update, slow-dump trigger.
     pub(crate) fn observe(&self, rec: &RequestRecord<'_>) {
         self.write_access_log(rec);
         let threshold = self.update_stats(rec);
@@ -191,15 +220,15 @@ impl Observer {
         }
     }
 
-    /// Updates histograms/SLO state and publishes the gauges; returns
-    /// the slow threshold in effect for this request's route.
+    /// Updates histograms/SLO state; returns the slow threshold in
+    /// effect for this request's route.
     fn update_stats(&self, rec: &RequestRecord<'_>) -> Option<u64> {
         let bucket = bucket_of_us(rec.latency_us);
         let violation = rec.latency_us > self.slo_us;
-        let (threshold, compliance, error_ratio, burn_rate, hist_snapshot) = {
+        let threshold = {
             let mut routes = self.routes.lock().unwrap_or_else(|e| e.into_inner());
             let rs = routes
-                .entry(rec.route.to_string())
+                .entry(route_label(rec.route))
                 .or_insert_with(RouteStats::new);
             rs.hist[bucket] += 1;
             rs.count += 1;
@@ -213,43 +242,57 @@ impl Observer {
                 rs.window.pop_front();
             }
             rs.window.push_back(violation);
-            let violations = rs.window.iter().filter(|&&v| v).count();
-            // Burn rate: observed violation ratio over the window,
-            // relative to the 1% budget of a 99% SLO. 1.0 = burning
-            // exactly at budget; >1 = on course to miss the SLO.
-            let burn = (violations as f64 / rs.window.len() as f64) / 0.01;
-            (
-                self.slow_us.or_else(|| rs.p99_us()),
-                rs.slo_ok as f64 / rs.count as f64,
-                rs.errors as f64 / rs.count as f64,
-                burn,
-                rs.hist,
-            )
+            self.slow_us.or_else(|| rs.p99_us())
         };
-        publish_route_gauges(
-            rec.route,
-            compliance,
-            error_ratio,
-            burn_rate,
-            &hist_snapshot,
-        );
-        if let Some(attr) = rec.attribute {
-            let hist = {
-                let mut attrs = self.attrs.lock().unwrap_or_else(|e| e.into_inner());
-                let hist = attrs
-                    .entry(attr.to_string())
-                    .or_insert([0; OBS_HIST_BUCKETS]);
-                hist[bucket] += 1;
-                *hist
-            };
-            publish_hist_gauge(
+        if let Some(attr) = rec.attribute.filter(|a| self.spec.id_of(a).is_some()) {
+            let mut attrs = self.attrs.lock().unwrap_or_else(|e| e.into_inner());
+            attrs
+                .entry(attr.to_string())
+                .or_insert([0; OBS_HIST_BUCKETS])[bucket] += 1;
+        }
+        threshold
+    }
+
+    /// Renders the per-route SLO gauges and latency histograms, and the
+    /// per-attribute latency histograms, into `set`.
+    pub(crate) fn render_gauges(&self, set: &mut GaugeSet) {
+        for (route, rs) in self.routes.lock().unwrap_or_else(|e| e.into_inner()).iter() {
+            let label = [("route", *route)];
+            set.set(
+                "disq_serve_slo_compliance",
+                "Fraction of requests inside the latency SLO",
+                &label,
+                rs.slo_ok as f64 / rs.count as f64,
+            );
+            set.set(
+                "disq_serve_error_ratio",
+                "Fraction of requests answered with a 4xx/5xx status",
+                &label,
+                rs.errors as f64 / rs.count as f64,
+            );
+            set.set(
+                "disq_serve_slo_burn_rate",
+                "Rolling SLO violation ratio relative to the 1% error budget",
+                &label,
+                rs.burn_rate(),
+            );
+            set_histogram(
+                set,
+                "disq_serve_latency_us_bucket",
+                "Per-route request latency histogram (log2 µs buckets, cumulative)",
+                label[0],
+                &rs.hist,
+            );
+        }
+        for (attr, hist) in self.attrs.lock().unwrap_or_else(|e| e.into_inner()).iter() {
+            set_histogram(
+                set,
                 "disq_serve_attr_latency_us_bucket",
                 "Per-attribute request latency histogram (log2 µs buckets, cumulative)",
                 ("attribute", attr),
-                &hist,
+                hist,
             );
         }
-        threshold
     }
 
     /// Dumps the slow request's causal slice from the flight recorder
@@ -273,42 +316,10 @@ impl Observer {
     }
 }
 
-fn publish_route_gauges(
-    route: &str,
-    compliance: f64,
-    error_ratio: f64,
-    burn_rate: f64,
-    hist: &[u64; OBS_HIST_BUCKETS],
-) {
-    disq_trace::gauge::set(
-        "disq_serve_slo_compliance",
-        "Fraction of requests inside the latency SLO",
-        &[("route", route)],
-        compliance,
-    );
-    disq_trace::gauge::set(
-        "disq_serve_error_ratio",
-        "Fraction of requests answered with a 4xx/5xx status",
-        &[("route", route)],
-        error_ratio,
-    );
-    disq_trace::gauge::set(
-        "disq_serve_slo_burn_rate",
-        "Rolling SLO violation ratio relative to the 1% error budget",
-        &[("route", route)],
-        burn_rate,
-    );
-    publish_hist_gauge(
-        "disq_serve_latency_us_bucket",
-        "Per-route request latency histogram (log2 µs buckets, cumulative)",
-        ("route", route),
-        hist,
-    );
-}
-
-/// Publishes one log₂ histogram as cumulative `le_us`-labelled gauge
-/// series (sparse: only boundaries that have gained samples appear).
-fn publish_hist_gauge(
+/// Sets one log₂ histogram as cumulative `le_us`-labelled gauge series
+/// (sparse: only boundaries that have gained samples appear).
+fn set_histogram(
+    set: &mut GaugeSet,
     family: &'static str,
     help: &'static str,
     label: (&str, &str),
@@ -321,7 +332,7 @@ fn publish_hist_gauge(
             continue;
         }
         let le = bucket_upper_us(i).to_string();
-        disq_trace::gauge::set(
+        set.set(
             family,
             help,
             &[label, ("le_us", le.as_str())],
@@ -383,7 +394,7 @@ mod tests {
             slo_us: 1_000,
             ..ServeConfig::default()
         };
-        let obs = Observer::new(&config);
+        let obs = Observer::new(&config, &Arc::new(disq_domain::domains::pictures::spec()));
         obs.observe(&record(10, 200)); // inside SLO
         obs.observe(&record(5_000, 500)); // violation + error
         let text = std::fs::read_to_string(&log_path).unwrap();
@@ -423,7 +434,7 @@ mod tests {
             access_log: Some(PathBuf::from("/dev/full")),
             ..ServeConfig::default()
         };
-        let obs = Observer::new(&config);
+        let obs = Observer::new(&config, &Arc::new(disq_domain::domains::pictures::spec()));
         let before = disq_trace::summary().counter(Counter::AccessLogWriteErrors);
         obs.observe(&record(10, 200));
         obs.observe(&record(20, 200));

@@ -1,6 +1,8 @@
 //! Robustness: malformed HTTP must map to a 4xx with a one-line JSON
 //! error — never a panic, never a wedged accept thread. After every
-//! abuse the same server still answers a clean `/healthz`.
+//! abuse the same server still answers a clean `/healthz`. Client input
+//! never becomes a metric label, and each engine's `/metrics` shows only
+//! its own requests.
 
 mod common;
 
@@ -179,4 +181,74 @@ fn malformed_request_line_is_400() {
     assert_eq!(resp.status, 400);
     assert_one_line_json_error(&resp.body);
     assert_alive(&server);
+}
+
+/// Client-chosen strings must not grow `/metrics`: unknown paths count
+/// under `route="other"` and unknown attributes get no histogram.
+#[test]
+fn bogus_paths_and_attributes_do_not_grow_metrics() {
+    let server = start_server();
+    let mut conn = connect(server.local_addr());
+    for i in 0..100 {
+        let resp = request(&mut conn, "GET", &format!("/bogus-path-{i}"), "");
+        assert_eq!(resp.status, 404);
+        let resp = request(
+            &mut conn,
+            "POST",
+            "/query",
+            &format!("{{\"attribute\":\"BogusAttr{i}\"}}"),
+        );
+        assert_eq!(resp.status, 404);
+    }
+    let metrics = request(&mut conn, "GET", "/metrics", "").body;
+    assert!(metrics.contains("route=\"other\""), "{metrics}");
+    assert!(!metrics.contains("bogus-path-"), "{metrics}");
+    assert!(!metrics.contains("BogusAttr"), "{metrics}");
+    let series = metrics.lines().filter(|l| !l.starts_with('#')).count();
+    assert!(series < 150, "{series} series after 200 bogus requests");
+    assert_alive(&server);
+}
+
+/// Serving gauges belong to their engine: two engines in one process
+/// each expose only the routes they served themselves.
+#[test]
+fn each_engine_exposes_only_its_own_routes() {
+    let small = ServeConfig {
+        population: 30,
+        ..ServeConfig::default()
+    };
+    let a = QueryServer::start(
+        "127.0.0.1:0",
+        Arc::new(Engine::new(small.clone()).expect("engine A")),
+    )
+    .expect("bind A");
+    let b = QueryServer::start(
+        "127.0.0.1:0",
+        Arc::new(Engine::new(small).expect("engine B")),
+    )
+    .expect("bind B");
+
+    let mut conn = connect(a.local_addr());
+    for path in ["/healthz", "/stats", "/nowhere"] {
+        request(&mut conn, "GET", path, "");
+    }
+    let a_metrics = request(&mut conn, "GET", "/metrics", "").body;
+    for route in ["/healthz", "/stats", "other"] {
+        let label = format!("disq_serve_slo_compliance{{route=\"{route}\"}}");
+        assert!(a_metrics.contains(&label), "A lacks {label}: {a_metrics}");
+    }
+
+    // B's first scrape precedes any B request; its second sees that one.
+    oneshot(b.local_addr(), "GET", "/metrics", "");
+    let b_metrics = oneshot(b.local_addr(), "GET", "/metrics", "").body;
+    assert!(
+        b_metrics.contains("disq_serve_slo_compliance{route=\"/metrics\"}"),
+        "{b_metrics}"
+    );
+    for route in ["/healthz", "/stats", "other"] {
+        assert!(
+            !b_metrics.contains(&format!("route=\"{route}\"")),
+            "B shows A's route {route}: {b_metrics}"
+        );
+    }
 }

@@ -9,47 +9,6 @@
 use crate::metrics::{Counter, RunSummary, Timer, HIST_BUCKETS};
 use std::fmt::Write as _;
 
-/// Help strings shown in the exposition, one per counter.
-fn counter_help(c: Counter) -> &'static str {
-    match c {
-        Counter::QuestionsBinary => "Binary value questions charged",
-        Counter::QuestionsNumeric => "Numeric value questions charged",
-        Counter::QuestionsDismantle => "Dismantle questions charged",
-        Counter::QuestionsVerify => "Verification questions charged",
-        Counter::QuestionsExample => "Example questions charged",
-        Counter::SpendMillicents => "Milli-cents charged across all questions",
-        Counter::SpamAnswersDropped => "Answers discarded by the online spam filter",
-        Counter::SpamFallbacks => "Whole-batch spam rejections (estimator fell back)",
-        Counter::DismantleChoices => "GetNextAttribute decisions taken",
-        Counter::SprtAccepted => "SPRT verifications accepting the candidate",
-        Counter::SprtRejected => "SPRT verifications rejecting the candidate",
-        Counter::SprtSamples => "Worker answers consumed by SPRT dialogues",
-        Counter::BudgetSteps => "Greedy budget-distribution grants",
-        Counter::RegressionFits => "Per-target regressions fitted",
-        Counter::ReplayServed => "Answers served from a replay log",
-        Counter::ReplayFellThrough => "Replay lookups that fell through to live",
-        Counter::SolverFallbacks => "Incremental budget solves rescued by the dense engine",
-        Counter::ProbeCacheHits => "Loss probes answered from the dismantle probe cache",
-        Counter::AuditedObjects => "Objects given a per-object error-attribution audit",
-        Counter::AuditedQueries => "Query targets given a full error-attribution ledger",
-        Counter::DriftAlarms => "Answer-stream drift-detector alarms raised",
-        Counter::TraceWriteErrors => "Trace-file writes that failed (trace is incomplete)",
-        Counter::TraceDroppedEvents => "Events evicted by a capped in-memory trace sink",
-        Counter::AllocBytes => "Heap bytes requested while tracing was active",
-        Counter::Allocs => "Heap allocation calls while tracing was active",
-        Counter::ServeRequests => "HTTP requests accepted by the disq-serve daemon",
-        Counter::ServeErrors => "Serve requests answered with a 4xx/5xx error",
-        Counter::PlanCacheHits => "Queries answered from an in-memory cached plan",
-        Counter::PlanCacheMisses => "Queries that computed or loaded a plan",
-        Counter::PlanStoreLoads => "Plans warm-started from the on-disk plan store",
-        Counter::CoalescedBatches => "Question batches shared by concurrent queries",
-        Counter::CoalescedQuestionsSaved => "Crowd questions avoided by batch sharing",
-        Counter::AccessLogWriteErrors => "Access-log lines that failed to write",
-        Counter::SlowDumpWriteErrors => "Slow-request flight-recorder dumps that failed to write",
-        Counter::SlowDumps => "Slow-request flight-recorder dumps written",
-    }
-}
-
 /// Writes one float in a Prometheus-friendly form (shortest round-trip;
 /// Prometheus accepts Rust's `Display` for finite floats).
 fn write_float(out: &mut String, v: f64) {
@@ -69,7 +28,7 @@ pub fn prometheus_text(summary: &RunSummary) -> String {
     let mut out = String::new();
     for c in Counter::ALL {
         let name = format!("disq_{}_total", c.name());
-        let _ = writeln!(out, "# HELP {name} {}", counter_help(c));
+        let _ = writeln!(out, "# HELP {name} {}", c.help());
         let _ = writeln!(out, "# TYPE {name} counter");
         let _ = writeln!(out, "{name} {}", summary.counter(c));
     }
@@ -79,7 +38,7 @@ pub fn prometheus_text(summary: &RunSummary) -> String {
             continue;
         }
         let name = format!("disq_kernel_{}_seconds", t.name());
-        let _ = writeln!(out, "# HELP {name} Latency of the {} kernel", t.name());
+        let _ = writeln!(out, "# HELP {name} {}", t.help());
         let _ = writeln!(out, "# TYPE {name} histogram");
         let mut cumulative = 0u64;
         for (i, &b) in stats.buckets.iter().enumerate() {
@@ -111,10 +70,9 @@ mod tests {
     use crate::metrics::TimerStats;
 
     fn summary_with(counter: Counter, v: u64) -> RunSummary {
-        let mut json = String::from("{\"counters\":{\"");
-        json.push_str(counter.name());
-        let _ = write!(json, "\":{v}}},\"timers\":{{}}}}");
-        RunSummary::from_json(&crate::json::parse(&json).unwrap()).unwrap()
+        let mut s = RunSummary::default();
+        s.set_counter_for_test(counter, v);
+        s
     }
 
     #[test]

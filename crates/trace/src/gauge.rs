@@ -11,6 +11,9 @@
 //! [`render`] emits text exposition format 0.0.4; [`crate::serve`]
 //! appends it to the counter/histogram body from
 //! [`crate::expo::prometheus_text`] so one scrape sees everything.
+//! State that a component already owns (the serving daemon's routes and
+//! plan cache) is better rendered at scrape time into a local
+//! [`GaugeSet`] than copied into this registry on every update.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -23,7 +26,71 @@ struct Family {
     series: BTreeMap<String, f64>,
 }
 
-static GAUGES: Mutex<BTreeMap<&'static str, Family>> = Mutex::new(BTreeMap::new());
+/// A set of labelled gauge families, rendered in family-name order.
+/// The process-global registry is one; a component can build its own
+/// at scrape time.
+#[derive(Default)]
+pub struct GaugeSet {
+    families: BTreeMap<&'static str, Family>,
+}
+
+impl GaugeSet {
+    /// An empty set.
+    pub const fn new() -> GaugeSet {
+        GaugeSet {
+            families: BTreeMap::new(),
+        }
+    }
+
+    /// Sets one labelled series to `value`, creating the family on
+    /// first use. `family` must be a full metric name (the `disq_…`
+    /// convention is the caller's job); label *names* must be valid
+    /// Prometheus label identifiers, label *values* are escaped here.
+    pub fn set(
+        &mut self,
+        family: &'static str,
+        help: &'static str,
+        labels: &[(&str, &str)],
+        value: f64,
+    ) {
+        self.families
+            .entry(family)
+            .or_insert_with(|| Family {
+                help,
+                series: BTreeMap::new(),
+            })
+            .series
+            .insert(encode_labels(labels), value);
+    }
+
+    /// Renders every family as exposition text (empty string when no
+    /// series was set). Non-finite values encode as `NaN`/`+Inf`/`-Inf`,
+    /// which the format permits for gauges.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        for (name, family) in &self.families {
+            let _ = writeln!(out, "# HELP {name} {}", family.help);
+            let _ = writeln!(out, "# TYPE {name} gauge");
+            for (labels, value) in &family.series {
+                let rendered = if value.is_nan() {
+                    "NaN".to_string()
+                } else if value.is_infinite() {
+                    (if *value > 0.0 { "+Inf" } else { "-Inf" }).to_string()
+                } else {
+                    format!("{value}")
+                };
+                if labels.is_empty() {
+                    let _ = writeln!(out, "{name} {rendered}");
+                } else {
+                    let _ = writeln!(out, "{name}{{{labels}}} {rendered}");
+                }
+            }
+        }
+        out
+    }
+}
+
+static GAUGES: Mutex<GaugeSet> = Mutex::new(GaugeSet::new());
 
 /// Escapes a label value per the exposition format (backslash, quote,
 /// newline).
@@ -52,53 +119,23 @@ fn encode_labels(labels: &[(&str, &str)]) -> String {
     s
 }
 
-/// Sets one labelled gauge series to `value`, creating the family on
-/// first use. `family` must be a full metric name (the `disq_…`
-/// convention is the caller's job); label *names* must be valid
-/// Prometheus label identifiers, label *values* are escaped here.
+/// Sets one labelled series of the process-global registry; see
+/// [`GaugeSet::set`].
 pub fn set(family: &'static str, help: &'static str, labels: &[(&str, &str)], value: f64) {
-    let key = encode_labels(labels);
-    let mut gauges = GAUGES.lock().unwrap_or_else(|e| e.into_inner());
-    gauges
-        .entry(family)
-        .or_insert_with(|| Family {
-            help,
-            series: BTreeMap::new(),
-        })
-        .series
-        .insert(key, value);
+    GAUGES
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .set(family, help, labels, value);
 }
 
-/// Renders every gauge family as exposition text (empty string when no
-/// gauge was ever set). Non-finite values encode as `NaN`/`+Inf`/`-Inf`,
-/// which the format permits for gauges.
+/// Renders the process-global registry; see [`GaugeSet::render`].
 pub fn render() -> String {
-    let gauges = GAUGES.lock().unwrap_or_else(|e| e.into_inner());
-    let mut out = String::new();
-    for (name, family) in gauges.iter() {
-        let _ = writeln!(out, "# HELP {name} {}", family.help);
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        for (labels, value) in &family.series {
-            let rendered = if value.is_nan() {
-                "NaN".to_string()
-            } else if value.is_infinite() {
-                (if *value > 0.0 { "+Inf" } else { "-Inf" }).to_string()
-            } else {
-                format!("{value}")
-            };
-            if labels.is_empty() {
-                let _ = writeln!(out, "{name} {rendered}");
-            } else {
-                let _ = writeln!(out, "{name}{{{labels}}} {rendered}");
-            }
-        }
-    }
-    out
+    GAUGES.lock().unwrap_or_else(|e| e.into_inner()).render()
 }
 
 /// Clears every registered gauge (test isolation).
 pub fn reset() {
-    GAUGES.lock().unwrap_or_else(|e| e.into_inner()).clear();
+    *GAUGES.lock().unwrap_or_else(|e| e.into_inner()) = GaugeSet::new();
 }
 
 /// The registry is process-global; in-crate tests that touch it (here

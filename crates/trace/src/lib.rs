@@ -24,8 +24,8 @@
 //!   attributed to it. Same contract as events: one relaxed load and
 //!   an inert guard when no sink is installed.
 //! * **[`RunSummary`]** — a snapshot/delta aggregate of counters and
-//!   timers, rendered into bench report footers and merged into
-//!   `BENCH_harness.json`.
+//!   timers, rendered into bench report footers and the Prometheus
+//!   exposition.
 //! * **Post-hoc analysis** — [`TraceReader`] streams events back out of
 //!   a JSONL file (crash-tolerant: corrupt lines are counted and
 //!   skipped), [`prometheus_text`] renders a [`RunSummary`] in

@@ -22,231 +22,161 @@ use std::time::Duration;
 /// `[2^(i−1), 2^i)` nanoseconds (bucket 0 holds 0–1 ns).
 pub const HIST_BUCKETS: usize = 32;
 
-/// Process-global event counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Counter {
-    /// Binary value questions charged.
-    QuestionsBinary,
-    /// Numeric value questions charged.
-    QuestionsNumeric,
-    /// Dismantle questions charged.
-    QuestionsDismantle,
-    /// Verification questions charged.
-    QuestionsVerify,
-    /// Example questions charged.
-    QuestionsExample,
-    /// Total milli-cents charged across all questions.
-    SpendMillicents,
-    /// Individual answers discarded by the online spam filter.
-    SpamAnswersDropped,
-    /// Answer batches the spam filter rejected entirely, forcing the
-    /// estimator to average the unfiltered answers.
-    SpamFallbacks,
-    /// `GetNextAttribute` decisions taken.
-    DismantleChoices,
-    /// SPRT verifications that accepted the candidate.
-    SprtAccepted,
-    /// SPRT verifications that rejected the candidate.
-    SprtRejected,
-    /// Worker answers consumed across all SPRT dialogues.
-    SprtSamples,
-    /// Question grants made by the greedy budget-distribution loop
-    /// (top-level calls only, not the loss-term probes).
-    BudgetSteps,
-    /// Per-target regressions fitted.
-    RegressionFits,
-    /// Answers served from a replay log.
-    ReplayServed,
-    /// Replay lookups that fell through to the live platform because the
-    /// log was exhausted (or keyed differently).
-    ReplayFellThrough,
-    /// Greedy budget-distribution calls where the incremental
-    /// Sherman–Morrison engine hit a numerical breakdown (non-SPD
-    /// update, non-finite statistics) and restarted on the dense
-    /// refactorize-per-candidate engine.
-    SolverFallbacks,
-    /// Next-attribute loss probes answered from the dismantle-step probe
-    /// cache instead of re-running a greedy solve.
-    ProbeCacheHits,
-    /// Objects given a per-object error-attribution audit
-    /// ([`crate::TraceEvent::ObjectAudit`]); incremented only on traced
-    /// audit paths, so the event count and counter delta stay bit-exact.
-    AuditedObjects,
-    /// Query targets given a full error-attribution ledger
-    /// ([`crate::TraceEvent::QueryAudit`]); same traced-only gating.
-    AuditedQueries,
-    /// Drift-detector alarms raised ([`crate::TraceEvent::DriftDetected`]);
-    /// same traced-only gating.
-    DriftAlarms,
-    /// Trace-sink write failures (file creation or mid-run I/O errors in
-    /// the JSONL sink). Non-zero means the trace on disk is incomplete.
-    TraceWriteErrors,
-    /// Events evicted by a capped [`crate::MemorySink`] (drop-oldest).
-    TraceDroppedEvents,
-    /// Bytes requested from the allocator while tracing was active
-    /// (counted only when [`crate::CountingAlloc`] is the global
-    /// allocator).
-    AllocBytes,
-    /// Allocator calls while tracing was active (same gating as
-    /// [`Counter::AllocBytes`]).
-    Allocs,
-    /// HTTP requests accepted by the `disq-serve` daemon.
-    ServeRequests,
-    /// Serve requests answered with a 4xx/5xx error.
-    ServeErrors,
-    /// `/query` requests answered from an in-memory cached plan.
-    PlanCacheHits,
-    /// `/query` requests that had to compute (or load) a plan.
-    PlanCacheMisses,
-    /// Plans warm-started from the on-disk plan store instead of
-    /// recomputed via `preprocess`.
-    PlanStoreLoads,
-    /// Cross-request question batches shared by ≥ 2 concurrent queries
-    /// (the serve-path micro-batcher).
-    CoalescedBatches,
-    /// Crowd questions avoided by batch sharing
-    /// (`Σ kᵢ − max kᵢ` per coalesced batch).
-    CoalescedQuestionsSaved,
-    /// Access-log lines that failed to write (the log keeps serving;
-    /// the first failure warns on stderr).
-    AccessLogWriteErrors,
-    /// Slow-request flight-recorder dumps that failed to write.
-    SlowDumpWriteErrors,
-    /// Slow-request flight-recorder dumps written successfully.
-    SlowDumps,
+/// Declares one metric enum from a table: each row is the variant (with
+/// its doc), its stable snake_case name and its exposition help text.
+/// Generates the enum, `ALL` in declaration order, the count constant,
+/// `name()` and `help()`, so a metric cannot exist without both.
+macro_rules! metric_table {
+    (
+        $(#[$meta:meta])*
+        pub enum $enum:ident, $count:ident {
+            $( $(#[$doc:meta])* $variant:ident = $name:literal, $help:literal; )*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(usize)]
+        pub enum $enum {
+            $( $(#[$doc])* $variant, )*
+        }
+
+        #[doc = concat!("Number of [`", stringify!($enum), "`] variants.")]
+        pub const $count: usize = [$($enum::$variant),*].len();
+
+        impl $enum {
+            /// Every variant, in `RunSummary` order.
+            pub const ALL: [$enum; $count] = [$($enum::$variant),*];
+
+            /// Stable snake_case name (the exposition family stem).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($enum::$variant => $name,)*
+                }
+            }
+
+            /// Help text shown in the Prometheus exposition.
+            pub fn help(self) -> &'static str {
+                match self {
+                    $($enum::$variant => $help,)*
+                }
+            }
+        }
+    };
 }
 
-/// Number of counters.
-pub const COUNTER_COUNT: usize = 35;
-
-impl Counter {
-    /// Every counter, in `RunSummary` order.
-    pub const ALL: [Counter; COUNTER_COUNT] = [
-        Counter::QuestionsBinary,
-        Counter::QuestionsNumeric,
-        Counter::QuestionsDismantle,
-        Counter::QuestionsVerify,
-        Counter::QuestionsExample,
-        Counter::SpendMillicents,
-        Counter::SpamAnswersDropped,
-        Counter::SpamFallbacks,
-        Counter::DismantleChoices,
-        Counter::SprtAccepted,
-        Counter::SprtRejected,
-        Counter::SprtSamples,
-        Counter::BudgetSteps,
-        Counter::RegressionFits,
-        Counter::ReplayServed,
-        Counter::ReplayFellThrough,
-        Counter::SolverFallbacks,
-        Counter::ProbeCacheHits,
-        Counter::AuditedObjects,
-        Counter::AuditedQueries,
-        Counter::DriftAlarms,
-        Counter::TraceWriteErrors,
-        Counter::TraceDroppedEvents,
-        Counter::AllocBytes,
-        Counter::Allocs,
-        Counter::ServeRequests,
-        Counter::ServeErrors,
-        Counter::PlanCacheHits,
-        Counter::PlanCacheMisses,
-        Counter::PlanStoreLoads,
-        Counter::CoalescedBatches,
-        Counter::CoalescedQuestionsSaved,
-        Counter::AccessLogWriteErrors,
-        Counter::SlowDumpWriteErrors,
-        Counter::SlowDumps,
-    ];
-
-    /// Stable snake_case name (used as the JSON key).
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::QuestionsBinary => "questions_binary",
-            Counter::QuestionsNumeric => "questions_numeric",
-            Counter::QuestionsDismantle => "questions_dismantle",
-            Counter::QuestionsVerify => "questions_verify",
-            Counter::QuestionsExample => "questions_example",
-            Counter::SpendMillicents => "spend_millicents",
-            Counter::SpamAnswersDropped => "spam_answers_dropped",
-            Counter::SpamFallbacks => "spam_fallbacks",
-            Counter::DismantleChoices => "dismantle_choices",
-            Counter::SprtAccepted => "sprt_accepted",
-            Counter::SprtRejected => "sprt_rejected",
-            Counter::SprtSamples => "sprt_samples",
-            Counter::BudgetSteps => "budget_steps",
-            Counter::RegressionFits => "regression_fits",
-            Counter::ReplayServed => "replay_served",
-            Counter::ReplayFellThrough => "replay_fell_through",
-            Counter::SolverFallbacks => "solver_fallbacks",
-            Counter::ProbeCacheHits => "probe_cache_hits",
-            Counter::AuditedObjects => "audited_objects",
-            Counter::AuditedQueries => "audited_queries",
-            Counter::DriftAlarms => "drift_alarms",
-            Counter::TraceWriteErrors => "trace_write_errors",
-            Counter::TraceDroppedEvents => "trace_dropped_events",
-            Counter::AllocBytes => "alloc_bytes",
-            Counter::Allocs => "allocs",
-            Counter::ServeRequests => "serve_requests",
-            Counter::ServeErrors => "serve_errors",
-            Counter::PlanCacheHits => "plan_cache_hits",
-            Counter::PlanCacheMisses => "plan_cache_misses",
-            Counter::PlanStoreLoads => "plan_store_loads",
-            Counter::CoalescedBatches => "coalesced_batches",
-            Counter::CoalescedQuestionsSaved => "coalesced_questions_saved",
-            Counter::AccessLogWriteErrors => "access_log_write_errors",
-            Counter::SlowDumpWriteErrors => "slow_dump_write_errors",
-            Counter::SlowDumps => "slow_dumps",
-        }
+metric_table! {
+    /// Process-global event counters.
+    pub enum Counter, COUNTER_COUNT {
+        /// Binary value questions charged.
+        QuestionsBinary = "questions_binary", "Binary value questions charged";
+        /// Numeric value questions charged.
+        QuestionsNumeric = "questions_numeric", "Numeric value questions charged";
+        /// Dismantle questions charged.
+        QuestionsDismantle = "questions_dismantle", "Dismantle questions charged";
+        /// Verification questions charged.
+        QuestionsVerify = "questions_verify", "Verification questions charged";
+        /// Example questions charged.
+        QuestionsExample = "questions_example", "Example questions charged";
+        /// Total milli-cents charged across all questions.
+        SpendMillicents = "spend_millicents", "Milli-cents charged across all questions";
+        /// Individual answers discarded by the online spam filter.
+        SpamAnswersDropped = "spam_answers_dropped", "Answers discarded by the online spam filter";
+        /// Answer batches the spam filter rejected entirely, forcing the
+        /// estimator to average the unfiltered answers.
+        SpamFallbacks = "spam_fallbacks", "Whole-batch spam rejections (estimator fell back)";
+        /// `GetNextAttribute` decisions taken.
+        DismantleChoices = "dismantle_choices", "GetNextAttribute decisions taken";
+        /// SPRT verifications that accepted the candidate.
+        SprtAccepted = "sprt_accepted", "SPRT verifications accepting the candidate";
+        /// SPRT verifications that rejected the candidate.
+        SprtRejected = "sprt_rejected", "SPRT verifications rejecting the candidate";
+        /// Worker answers consumed across all SPRT dialogues.
+        SprtSamples = "sprt_samples", "Worker answers consumed by SPRT dialogues";
+        /// Question grants made by the greedy budget-distribution loop
+        /// (top-level calls only, not the loss-term probes).
+        BudgetSteps = "budget_steps", "Greedy budget-distribution grants";
+        /// Per-target regressions fitted.
+        RegressionFits = "regression_fits", "Per-target regressions fitted";
+        /// Answers served from a replay log.
+        ReplayServed = "replay_served", "Answers served from a replay log";
+        /// Replay lookups that fell through to the live platform because the
+        /// log was exhausted (or keyed differently).
+        ReplayFellThrough = "replay_fell_through", "Replay lookups that fell through to live";
+        /// Greedy budget-distribution calls where the incremental
+        /// Sherman–Morrison engine hit a numerical breakdown (non-SPD
+        /// update, non-finite statistics) and restarted on the dense
+        /// refactorize-per-candidate engine.
+        SolverFallbacks = "solver_fallbacks", "Incremental budget solves rescued by the dense engine";
+        /// Next-attribute loss probes answered from the dismantle-step probe
+        /// cache instead of re-running a greedy solve.
+        ProbeCacheHits = "probe_cache_hits", "Loss probes answered from the dismantle probe cache";
+        /// Objects given a per-object error-attribution audit
+        /// ([`crate::TraceEvent::ObjectAudit`]); incremented only on traced
+        /// audit paths, so the event count and counter delta stay bit-exact.
+        AuditedObjects = "audited_objects", "Objects given a per-object error-attribution audit";
+        /// Query targets given a full error-attribution ledger
+        /// ([`crate::TraceEvent::QueryAudit`]); same traced-only gating.
+        AuditedQueries = "audited_queries", "Query targets given a full error-attribution ledger";
+        /// Drift-detector alarms raised ([`crate::TraceEvent::DriftDetected`]);
+        /// same traced-only gating.
+        DriftAlarms = "drift_alarms", "Answer-stream drift-detector alarms raised";
+        /// Trace-sink write failures (file creation or mid-run I/O errors in
+        /// the JSONL sink). Non-zero means the trace on disk is incomplete.
+        TraceWriteErrors = "trace_write_errors", "Trace-file writes that failed (trace is incomplete)";
+        /// Events evicted by a capped [`crate::MemorySink`] (drop-oldest).
+        TraceDroppedEvents = "trace_dropped_events", "Events evicted by a capped in-memory trace sink";
+        /// Bytes requested from the allocator while tracing was active
+        /// (counted only when [`crate::CountingAlloc`] is the global
+        /// allocator).
+        AllocBytes = "alloc_bytes", "Heap bytes requested while tracing was active";
+        /// Allocator calls while tracing was active (same gating as
+        /// [`Counter::AllocBytes`]).
+        Allocs = "allocs", "Heap allocation calls while tracing was active";
+        /// HTTP requests accepted by the `disq-serve` daemon.
+        ServeRequests = "serve_requests", "HTTP requests accepted by the disq-serve daemon";
+        /// Serve requests answered with a 4xx/5xx error.
+        ServeErrors = "serve_errors", "Serve requests answered with a 4xx/5xx error";
+        /// `/query` requests answered from an in-memory cached plan.
+        PlanCacheHits = "plan_cache_hits", "Queries answered from an in-memory cached plan";
+        /// `/query` requests that had to compute (or load) a plan.
+        PlanCacheMisses = "plan_cache_misses", "Queries that computed or loaded a plan";
+        /// Plans warm-started from the on-disk plan store instead of
+        /// recomputed via `preprocess`.
+        PlanStoreLoads = "plan_store_loads", "Plans warm-started from the on-disk plan store";
+        /// Cross-request question batches shared by ≥ 2 concurrent queries
+        /// (the serve-path micro-batcher).
+        CoalescedBatches = "coalesced_batches", "Question batches shared by concurrent queries";
+        /// Crowd questions avoided by batch sharing
+        /// (`Σ kᵢ − max kᵢ` per coalesced batch).
+        CoalescedQuestionsSaved = "coalesced_questions_saved", "Crowd questions avoided by batch sharing";
+        /// Access-log lines that failed to write (the log keeps serving;
+        /// the first failure warns on stderr).
+        AccessLogWriteErrors = "access_log_write_errors", "Access-log lines that failed to write";
+        /// Slow-request flight-recorder dumps that failed to write.
+        SlowDumpWriteErrors = "slow_dump_write_errors", "Slow-request flight-recorder dumps that failed to write";
+        /// Slow-request flight-recorder dumps written successfully.
+        SlowDumps = "slow_dumps", "Slow-request flight-recorder dumps written";
     }
 }
 
-/// Timed kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Timer {
-    /// `QuadFormWorkspace::factorize_with` (packed Cholesky + rescue
-    /// ladder).
-    QuadFormFactorize,
-    /// `QuadFormWorkspace::quad_form` (triangular solves).
-    QuadFormSolve,
-    /// Dense `Cholesky::new` factorization.
-    CholeskyFactorize,
-    /// One crowd question end to end (any kind).
-    CrowdQuestion,
-    /// Packed-factor rank-1 diagonal update / bordered append
-    /// (`disq_math::rank1`), the incremental solver's mutation kernels.
-    Rank1Update,
-    /// One candidate grant scored by the incremental greedy engine
-    /// (Sherman–Morrison or bordered Schur complement).
-    CandidateScore,
-}
-
-/// Number of timers.
-pub const TIMER_COUNT: usize = 6;
-
-impl Timer {
-    /// Every timer, in `RunSummary` order.
-    pub const ALL: [Timer; TIMER_COUNT] = [
-        Timer::QuadFormFactorize,
-        Timer::QuadFormSolve,
-        Timer::CholeskyFactorize,
-        Timer::CrowdQuestion,
-        Timer::Rank1Update,
-        Timer::CandidateScore,
-    ];
-
-    /// Stable snake_case name (used as the JSON key).
-    pub fn name(self) -> &'static str {
-        match self {
-            Timer::QuadFormFactorize => "quadform_factorize",
-            Timer::QuadFormSolve => "quadform_solve",
-            Timer::CholeskyFactorize => "cholesky_factorize",
-            Timer::CrowdQuestion => "crowd_question",
-            Timer::Rank1Update => "rank1_update",
-            Timer::CandidateScore => "candidate_score",
-        }
+metric_table! {
+    /// Timed kernels.
+    pub enum Timer, TIMER_COUNT {
+        /// `QuadFormWorkspace::factorize_with` (packed Cholesky + rescue
+        /// ladder).
+        QuadFormFactorize = "quadform_factorize", "Latency of the quadform_factorize kernel";
+        /// `QuadFormWorkspace::quad_form` (triangular solves).
+        QuadFormSolve = "quadform_solve", "Latency of the quadform_solve kernel";
+        /// Dense `Cholesky::new` factorization.
+        CholeskyFactorize = "cholesky_factorize", "Latency of the cholesky_factorize kernel";
+        /// One crowd question end to end (any kind).
+        CrowdQuestion = "crowd_question", "Latency of the crowd_question kernel";
+        /// Packed-factor rank-1 diagonal update / bordered append
+        /// (`disq_math::rank1`), the incremental solver's mutation kernels.
+        Rank1Update = "rank1_update", "Latency of the rank1_update kernel";
+        /// One candidate grant scored by the incremental greedy engine
+        /// (Sherman–Morrison or bordered Schur complement).
+        CandidateScore = "candidate_score", "Latency of the candidate_score kernel";
     }
 }
 
@@ -460,6 +390,12 @@ impl RunSummary {
         out
     }
 
+    /// Overwrites one counter's value (test fixture construction).
+    #[cfg(test)]
+    pub(crate) fn set_counter_for_test(&mut self, c: Counter, value: u64) {
+        self.counters[c as usize] = value;
+    }
+
     /// Overwrites one timer's stats (test fixture construction).
     #[cfg(test)]
     pub(crate) fn set_timer_for_test(&mut self, t: Timer, stats: TimerStats) {
@@ -545,114 +481,6 @@ impl RunSummary {
         }
         out
     }
-
-    /// One-line JSON object (non-zero counters and timers only), the
-    /// `run_summary` block merged into `BENCH_harness.json` records.
-    /// Timers carry their full sparse bucket list (`[[index, count], …]`)
-    /// so downstream tooling (`disq-insight`) can re-render the log₂
-    /// histograms and recompute any percentile.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"counters\":{");
-        let mut first = true;
-        for c in Counter::ALL {
-            let v = self.counter(c);
-            if v > 0 {
-                if !first {
-                    s.push(',');
-                }
-                let _ = write!(s, "\"{}\":{v}", c.name());
-                first = false;
-            }
-        }
-        s.push_str("},\"timers\":{");
-        let mut first = true;
-        for t in Timer::ALL {
-            let stats = self.timer(t);
-            if stats.count > 0 {
-                if !first {
-                    s.push(',');
-                }
-                let _ = write!(
-                    s,
-                    "\"{}\":{{\"count\":{},\"total_ns\":{},\"p50_ns\":{},\"p90_ns\":{},\
-                     \"p99_ns\":{},\"buckets\":[",
-                    t.name(),
-                    stats.count,
-                    stats.total_ns,
-                    stats.p50_ns(),
-                    stats.p90_ns(),
-                    stats.p99_ns(),
-                );
-                let mut first_bucket = true;
-                for (i, &b) in stats.buckets.iter().enumerate() {
-                    if b > 0 {
-                        if !first_bucket {
-                            s.push(',');
-                        }
-                        let _ = write!(s, "[{i},{b}]");
-                        first_bucket = false;
-                    }
-                }
-                s.push_str("]}");
-                first = false;
-            }
-        }
-        s.push_str("}}");
-        s
-    }
-
-    /// Parses a [`RunSummary::to_json`] object back (absent counters and
-    /// timers read as zero; the legacy pre-bucket timer encoding is
-    /// accepted with empty buckets). Unknown counter or timer names are
-    /// an error — they indicate a version mismatch worth surfacing.
-    pub fn from_json(v: &crate::json::Json) -> Result<RunSummary, String> {
-        use crate::json::Json;
-        let mut out = RunSummary::default();
-        if let Some(Json::Obj(counters)) = v.get("counters") {
-            for (name, value) in counters {
-                let c = Counter::ALL
-                    .iter()
-                    .find(|c| c.name() == name)
-                    .ok_or_else(|| format!("unknown counter {name:?}"))?;
-                out.counters[*c as usize] = value
-                    .as_u64()
-                    .ok_or_else(|| format!("counter {name:?} is not an integer"))?;
-            }
-        }
-        if let Some(Json::Obj(timers)) = v.get("timers") {
-            for (name, value) in timers {
-                let t = Timer::ALL
-                    .iter()
-                    .find(|t| t.name() == name)
-                    .ok_or_else(|| format!("unknown timer {name:?}"))?;
-                let stats = &mut out.timers[*t as usize];
-                let int = |field: &str| -> Result<u64, String> {
-                    value
-                        .get(field)
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| format!("timer {name:?}: missing integer {field:?}"))
-                };
-                stats.count = int("count")?;
-                stats.total_ns = int("total_ns")?;
-                if let Some(buckets) = value.get("buckets").and_then(Json::as_arr) {
-                    for pair in buckets {
-                        let pair = pair
-                            .as_arr()
-                            .filter(|p| p.len() == 2)
-                            .ok_or_else(|| format!("timer {name:?}: bad bucket entry"))?;
-                        let i = pair[0]
-                            .as_u64()
-                            .filter(|&i| (i as usize) < HIST_BUCKETS)
-                            .ok_or_else(|| format!("timer {name:?}: bucket index out of range"))?;
-                        stats.buckets[i as usize] = pair[1]
-                            .as_u64()
-                            .ok_or_else(|| format!("timer {name:?}: bad bucket count"))?;
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -704,11 +532,10 @@ mod tests {
     }
 
     #[test]
-    fn render_and_json_skip_zero_sections() {
+    fn render_skips_zero_sections() {
         let empty = RunSummary::default();
         assert!(empty.is_empty());
         assert_eq!(empty.render(), "");
-        assert_eq!(empty.to_json(), "{\"counters\":{},\"timers\":{}}");
 
         let mut s = RunSummary::default();
         s.counters[Counter::QuestionsBinary as usize] = 7;
@@ -716,9 +543,7 @@ mod tests {
         let rendered = s.render();
         assert!(rendered.contains("7 questions"), "{rendered}");
         assert!(rendered.contains("spend 700mc"), "{rendered}");
-        let json = s.to_json();
-        assert!(json.contains("\"questions_binary\":7"), "{json}");
-        assert!(!json.contains("questions_numeric"), "{json}");
+        assert!(!rendered.contains("kernel"), "{rendered}");
     }
 
     #[test]
@@ -770,37 +595,6 @@ mod tests {
         zeroes.count = 3;
         assert_eq!(zeroes.p50_ns(), 1);
         assert_eq!(zeroes.p99_ns(), 1);
-    }
-
-    #[test]
-    fn summary_json_round_trips_through_parser() {
-        let mut s = RunSummary::default();
-        s.counters[Counter::QuestionsBinary as usize] = 41;
-        s.counters[Counter::SpendMillicents as usize] = 123_456;
-        s.timers[Timer::CrowdQuestion as usize] = TimerStats {
-            count: 100,
-            total_ns: 5_000,
-            buckets: {
-                let mut b = [0u64; HIST_BUCKETS];
-                b[4] = 90;
-                b[11] = 10;
-                b
-            },
-        };
-        let json = s.to_json();
-        assert!(json.contains("\"p90_ns\":16"), "{json}");
-        assert!(json.contains("\"buckets\":[[4,90],[11,10]]"), "{json}");
-        let parsed = crate::json::parse(&json).unwrap();
-        let back = RunSummary::from_json(&parsed).unwrap();
-        assert_eq!(back, s);
-    }
-
-    #[test]
-    fn summary_from_json_rejects_unknown_names() {
-        let bad = crate::json::parse("{\"counters\":{\"bogus\":1},\"timers\":{}}").unwrap();
-        assert!(RunSummary::from_json(&bad).is_err());
-        let bad = crate::json::parse("{\"counters\":{},\"timers\":{\"bogus\":{}}}").unwrap();
-        assert!(RunSummary::from_json(&bad).is_err());
     }
 
     /// Satellite: snapshot/delta arithmetic must stay consistent while
