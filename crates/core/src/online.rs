@@ -222,8 +222,8 @@ fn estimate_object_impl<P: ValueSource>(
         }
         let stats = filter_spam_into(&scratch.answers, &mut scratch.medians, &mut scratch.kept);
         let dropped = scratch.answers.len() - scratch.kept.len();
-        disq_trace::count_n(Counter::SpamAnswersDropped, dropped as u64);
         if dropped > 0 {
+            disq_trace::count_n(Counter::SpamAnswersDropped, dropped as u64);
             disq_trace::emit(|| TraceEvent::SpamDecision {
                 object: object.0 as u64,
                 attr: p.attr.0 as u32,

@@ -171,6 +171,11 @@ fn as_u64(j: &Json, ctx: &str) -> Result<u64, DisqError> {
         .ok_or_else(|| DisqError::Config(format!("plan store: expected an integer in {ctx}")))
 }
 
+fn as_u32(j: &Json, ctx: &str) -> Result<u32, DisqError> {
+    u32::try_from(as_u64(j, ctx)?)
+        .map_err(|_| DisqError::Config(format!("plan store: {ctx} exceeds u32::MAX")))
+}
+
 fn as_str(j: &Json, ctx: &str) -> Result<String, DisqError> {
     j.as_str()
         .map(str::to_string)
@@ -191,7 +196,9 @@ fn str_vec(j: &Json, ctx: &str) -> Result<Vec<String>, DisqError> {
 }
 
 /// Parses an envelope produced by [`output_to_json`], rejecting version
-/// mismatches and shape errors.
+/// mismatches, shape errors and plans that break [`EvaluationPlan`]'s
+/// invariants (an attribute with no questions, a count beyond `u32`, a
+/// regression whose coefficients do not match the planned attributes).
 pub fn output_from_json(text: &str) -> Result<(PreprocessOutput, PlanMeta), DisqError> {
     let root = json::parse(text).map_err(|e| DisqError::Config(format!("plan store: {e}")))?;
     let version = as_u64(field(&root, "disq_plan_version", "envelope")?, "version")?;
@@ -219,20 +226,36 @@ pub fn output_from_json(text: &str) -> Result<(PreprocessOutput, PlanMeta), Disq
                 )))
             }
         };
+        let label = as_str(field(a, "label", "attribute")?, "label")?;
+        let questions = as_u32(field(a, "questions", "attribute")?, "questions")?;
+        if questions == 0 {
+            return Err(DisqError::Config(format!(
+                "plan store: attribute '{label}' plans 0 questions"
+            )));
+        }
         attributes.push(PlannedAttribute {
             attr: AttributeId(as_u64(field(a, "attr", "attribute")?, "attr")? as usize),
-            label: as_str(field(a, "label", "attribute")?, "label")?,
+            label,
             kind,
-            questions: as_u64(field(a, "questions", "attribute")?, "questions")? as u32,
+            questions,
         });
     }
     let mut regressions = Vec::new();
     for r in as_arr(field(plan_j, "regressions", "plan")?, "plan.regressions")? {
+        let label = as_str(field(r, "label", "regression")?, "label")?;
+        let coefficients = f64_vec(field(r, "coefficients", "regression")?, "coefficients")?;
+        if coefficients.len() != attributes.len() {
+            return Err(DisqError::Config(format!(
+                "plan store: regression '{label}' has {} coefficients for {} planned attributes",
+                coefficients.len(),
+                attributes.len()
+            )));
+        }
         regressions.push(TargetRegression {
             target: AttributeId(as_u64(field(r, "target", "regression")?, "target")? as usize),
-            label: as_str(field(r, "label", "regression")?, "label")?,
+            label,
             intercept: as_f64(field(r, "intercept", "regression")?, "intercept")?,
-            coefficients: f64_vec(field(r, "coefficients", "regression")?, "coefficients")?,
+            coefficients,
             training_mse: as_f64(field(r, "training_mse", "regression")?, "training_mse")?,
         });
     }
@@ -254,14 +277,14 @@ pub fn output_from_json(text: &str) -> Result<(PreprocessOutput, PlanMeta), Disq
     let stats_j = field(out, "stats", "output")?;
     let stats = PreprocessStats {
         n1_used: as_u64(field(stats_j, "n1_used", "stats")?, "n1_used")? as usize,
-        dismantle_questions: as_u64(
+        dismantle_questions: as_u32(
             field(stats_j, "dismantle_questions", "stats")?,
             "dismantle_questions",
-        )? as u32,
+        )?,
         discovered: str_vec(field(stats_j, "discovered", "stats")?, "discovered")?,
-        rejected: as_u64(field(stats_j, "rejected", "stats")?, "rejected")? as u32,
-        junk: as_u64(field(stats_j, "junk", "stats")?, "junk")? as u32,
-        duplicates: as_u64(field(stats_j, "duplicates", "stats")?, "duplicates")? as u32,
+        rejected: as_u32(field(stats_j, "rejected", "stats")?, "rejected")?,
+        junk: as_u32(field(stats_j, "junk", "stats")?, "junk")?,
+        duplicates: as_u32(field(stats_j, "duplicates", "stats")?, "duplicates")?,
         spent: Money::from_millicents(
             field(stats_j, "spent_millicents", "stats")?
                 .as_i64()
@@ -276,7 +299,7 @@ pub fn output_from_json(text: &str) -> Result<(PreprocessOutput, PlanMeta), Disq
 
     let budget = as_arr(field(out, "budget", "output")?, "budget")?
         .iter()
-        .map(|b| as_u64(b, "budget").map(|v| v as u32))
+        .map(|b| as_u32(b, "budget"))
         .collect::<Result<Vec<_>, _>>()?;
 
     let output = PreprocessOutput {
@@ -488,6 +511,42 @@ mod tests {
         let text = output_to_json(&sample_output(), &meta());
         let bad = text.replacen("\"s_c\":[90,0.24]", "\"s_c\":[90]", 1);
         assert!(output_from_json(&bad).is_err());
+    }
+
+    /// Asserts `text` is rejected with a `Config` error mentioning `what`.
+    fn assert_config_error(text: &str, what: &str) {
+        let err = output_from_json(text).unwrap_err();
+        assert!(
+            matches!(&err, DisqError::Config(m) if m.contains(what)),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn zero_questions_rejected() {
+        let text = output_to_json(&sample_output(), &meta());
+        let bad = text.replacen("\"questions\":5", "\"questions\":0", 1);
+        assert_config_error(&bad, "plans 0 questions");
+    }
+
+    #[test]
+    fn counts_beyond_u32_rejected() {
+        let text = output_to_json(&sample_output(), &meta());
+        // 2^32 + 5 would wrap to a valid-looking 5 through `as u32`.
+        let bad = text.replacen("\"questions\":5", "\"questions\":4294967301", 1);
+        assert_config_error(&bad, "questions exceeds u32::MAX");
+        let bad = text.replacen("\"budget\":[5,9]", "\"budget\":[4294967301,9]", 1);
+        assert_config_error(&bad, "budget exceeds u32::MAX");
+    }
+
+    #[test]
+    fn regression_arity_mismatch_rejected() {
+        let text = output_to_json(&sample_output(), &meta());
+        for coefficients in ["[0.6]", "[0.6,-0.0119,1]"] {
+            let bad = text.replacen("[0.6,-0.0119]", coefficients, 1);
+            assert_ne!(bad, text);
+            assert_config_error(&bad, "planned attributes");
+        }
     }
 
     #[test]

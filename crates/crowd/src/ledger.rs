@@ -82,28 +82,65 @@ impl BudgetLedger {
     /// Charges one question. Fails without recording anything if the cap
     /// would be exceeded.
     pub fn charge(&mut self, kind: QuestionKind, price: Money) -> Result<(), CrowdError> {
-        if !self.can_afford(price) {
-            return Err(CrowdError::BudgetExhausted {
+        self.charge_n(kind, price, 1).1
+    }
+
+    /// Charges `n` questions of one kind at one price, or the prefix of
+    /// them the cap still pays for: exactly what a loop of `n`
+    /// [`charge`](Self::charge) calls stopping at the first refusal
+    /// would record. Returns how many were charged and, when that is
+    /// fewer than `n`, the error the first refused call would return.
+    ///
+    /// Inlined so that [`charge`](Self::charge), on the path of every
+    /// single-question ask, folds to the `n = 1` case.
+    #[inline]
+    pub fn charge_n(
+        &mut self,
+        kind: QuestionKind,
+        price: Money,
+        n: usize,
+    ) -> (usize, Result<(), CrowdError>) {
+        // A positive price fits `remaining / price` more times; a free
+        // one fits every time once it fits at all.
+        let charged = match self.cap {
+            Some(_) if price.is_positive() => {
+                let fits = self.remaining().millicents() / price.millicents();
+                n.min(usize::try_from(fits).unwrap_or(usize::MAX))
+            }
+            _ if self.can_afford(price) => n,
+            _ => 0,
+        };
+        if charged > 0 {
+            let total = price * i64::try_from(charged).expect("batch size fits in i64");
+            self.spent += total;
+            let i = kind_index(kind);
+            self.counts[i] += charged as u64;
+            self.totals[i] += total;
+            // Trace visibility: every charged question bumps the global
+            // per-kind counters (relaxed atomics — see the disq-trace
+            // overhead contract), once per call.
+            let questions = match kind {
+                QuestionKind::BinaryValue => Counter::QuestionsBinary,
+                QuestionKind::NumericValue => Counter::QuestionsNumeric,
+                QuestionKind::Dismantle => Counter::QuestionsDismantle,
+                QuestionKind::Verify => Counter::QuestionsVerify,
+                QuestionKind::Example => Counter::QuestionsExample,
+            };
+            disq_trace::count_n(questions, charged as u64);
+            disq_trace::count_n(
+                Counter::SpendMillicents,
+                price.millicents().max(0) as u64 * charged as u64,
+            );
+        }
+        let result = if charged == n {
+            Ok(())
+        } else {
+            Err(CrowdError::BudgetExhausted {
                 needed: price,
                 remaining: self.remaining(),
-            });
-        }
-        self.spent += price;
-        let i = kind_index(kind);
-        self.counts[i] += 1;
-        self.totals[i] += price;
-        // Trace visibility: every charged question bumps the global
-        // per-kind counters (relaxed atomics — see the disq-trace
-        // overhead contract).
-        disq_trace::count(match kind {
-            QuestionKind::BinaryValue => Counter::QuestionsBinary,
-            QuestionKind::NumericValue => Counter::QuestionsNumeric,
-            QuestionKind::Dismantle => Counter::QuestionsDismantle,
-            QuestionKind::Verify => Counter::QuestionsVerify,
-            QuestionKind::Example => Counter::QuestionsExample,
-        });
-        disq_trace::count_n(Counter::SpendMillicents, price.millicents().max(0) as u64);
-        Ok(())
+            })
+        };
+        (charged, result)
     }
 
     /// Number of questions of a kind charged so far.

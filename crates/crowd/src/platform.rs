@@ -353,11 +353,13 @@ impl SimulatedCrowd {
         (v, WorkerId(w as u32))
     }
 
-    /// Shared batched-ask body: always draws a worker per answer (so the
-    /// identity stream stays in lockstep with the answer count whether or
-    /// not the caller wants attribution) and records ids only when
-    /// `workers` is provided — the unattributed hot path allocates
-    /// nothing.
+    /// Shared batched-ask body: charges the ledger once for the batch
+    /// (the prefix the budget can pay for, see [`BudgetLedger::charge_n`]),
+    /// then draws the charged answers one by one in the order per-question
+    /// asks would. It always draws a worker per answer (so the identity
+    /// stream stays in lockstep with the answer count whether or not the
+    /// caller wants attribution) and records ids only when `workers` is
+    /// provided — the unattributed hot path allocates nothing.
     fn ask_values_impl(
         &mut self,
         o: ObjectId,
@@ -371,21 +373,21 @@ impl SimulatedCrowd {
         let (kind, mean, sd, worker_sd) = (spec.kind, spec.mean, spec.sd, spec.worker_sd);
         let truth = self.population.value(o, a);
         let sleep_us = injected_sleep_us();
-        out.reserve(k);
-        for _ in 0..k {
+        let (charged, charge) = self.ledger.charge_n(qk, price, k);
+        out.reserve(charged);
+        for _ in 0..charged {
             let (v, w) = disq_trace::time(Timer::CrowdQuestion, || {
-                self.ledger.charge(qk, price)?;
                 if sleep_us > 0 {
                     std::thread::sleep(std::time::Duration::from_micros(sleep_us));
                 }
-                Ok(self.draw_value(kind, truth, mean, sd, worker_sd))
-            })?;
+                self.draw_value(kind, truth, mean, sd, worker_sd)
+            });
             out.push(v);
             if let Some(ws) = workers.as_deref_mut() {
                 ws.push(w);
             }
         }
-        Ok(())
+        charge
     }
 }
 
@@ -411,10 +413,11 @@ impl CrowdPlatform for SimulatedCrowd {
 
     /// Batched value questions: the price, attribute spec, and ground
     /// truth are resolved once for the whole batch (one column lookup
-    /// instead of `k`), but every answer still charges the ledger and
-    /// draws from the RNG in exactly the order `k` separate
-    /// [`ask_value`](CrowdPlatform::ask_value) calls would — the answer
-    /// stream is bit-identical (`batched_ask_matches_looped_ask`).
+    /// instead of `k`) and the ledger is charged once, but the ledger ends
+    /// in the state `k` separate [`ask_value`](CrowdPlatform::ask_value)
+    /// calls would leave and the answers are drawn from the RNG in
+    /// exactly their order — the answer stream is bit-identical
+    /// (`batched_ask_matches_looped_ask`).
     fn ask_values(
         &mut self,
         o: ObjectId,

@@ -61,6 +61,48 @@ proptest! {
     }
 
     #[test]
+    fn charge_n_matches_a_loop_of_charges(
+        capped in any::<bool>(),
+        cap in 0i64..60_000,
+        pre_spend in proptest::collection::vec((0usize..5, 0i64..=5_000), 0..10),
+        kind in 0usize..5,
+        price in 0i64..=5_000,
+        n in 0usize..=40,
+    ) {
+        let cap = capped.then(|| Money::from_millicents(cap));
+        let fresh = || cap.map_or_else(BudgetLedger::unlimited, BudgetLedger::with_cap);
+        let (mut batched, mut looped) = (fresh(), fresh());
+        for &(k, p) in &pre_spend {
+            let (k, p) = (QuestionKind::ALL[k], Money::from_millicents(p));
+            prop_assert_eq!(batched.charge(k, p), looped.charge(k, p));
+        }
+        let (kind, price) = (QuestionKind::ALL[kind], Money::from_millicents(price));
+
+        let (charged, result) = batched.charge_n(kind, price, n);
+        let mut want = (0, Ok(()));
+        for _ in 0..n {
+            match looped.charge(kind, price) {
+                Ok(()) => want.0 += 1,
+                Err(e) => {
+                    want.1 = Err(e);
+                    break;
+                }
+            }
+        }
+        prop_assert_eq!((charged, result.clone()), want);
+        prop_assert_eq!(batched.spent(), looped.spent());
+        prop_assert_eq!(batched.remaining(), looped.remaining());
+        for k in QuestionKind::ALL {
+            prop_assert_eq!(batched.count(k), looped.count(k));
+            prop_assert_eq!(batched.total(k), looped.total(k));
+        }
+        // And the prefix is the right one: within the cap, and cut short
+        // only where the next question really does not fit.
+        prop_assert!(cap.is_none_or(|c| batched.spent() <= c));
+        prop_assert_eq!(result.is_err(), !batched.can_afford(price) && charged < n);
+    }
+
+    #[test]
     fn filter_spam_returns_ordered_subset(xs in proptest::collection::vec(-1e6_f64..1e6, 0..30)) {
         let kept = filter_spam(&xs);
         prop_assert!(kept.len() <= xs.len());

@@ -92,6 +92,10 @@ impl Population {
         let mvn = MultivariateNormal::new(spec.means(), &spec.covariance_matrix())?;
         let n_attrs = spec.n_attrs();
         let mut columns: Vec<Vec<f64>> = (0..n_attrs).map(|_| Vec::with_capacity(n)).collect();
+        let boolean: Vec<bool> = spec
+            .attribute_ids()
+            .map(|a| spec.attr(a).kind == AttributeKind::Boolean)
+            .collect();
         let mut z = vec![0.0; n_attrs];
         let mut row = vec![0.0; n_attrs];
         let mut done = 0;
@@ -99,21 +103,19 @@ impl Population {
             let count = chunk_size.min(n - done);
             for _ in 0..count {
                 mvn.sample_into(rng, &mut z, &mut row);
-                for (i, (&val, col)) in row.iter().zip(&mut columns).enumerate() {
-                    if spec.attr(AttributeId(i)).kind == AttributeKind::Boolean {
-                        col.push(val.clamp(0.0, 1.0));
-                    } else {
-                        col.push(val);
-                    }
+                for ((&val, col), &is_bool) in row.iter().zip(&mut columns).zip(&boolean) {
+                    col.push(if is_bool { val.clamp(0.0, 1.0) } else { val });
                 }
             }
             done += count;
         }
         if n >= 8 {
+            let mut scratch = Vec::new();
             for a in spec.attribute_ids() {
                 let s = spec.attr(a);
                 if s.kind == AttributeKind::Boolean {
-                    sharpen_boolean_column(&mut columns[a.index()], s.worker_sd * s.worker_sd);
+                    let target_sc = s.worker_sd * s.worker_sd;
+                    sharpen_boolean_column(&mut columns[a.index()], target_sc, &mut scratch);
                 }
             }
         }
@@ -216,24 +218,29 @@ pub fn fast_forward_sampling<R: Rng + ?Sized>(
 /// Mixes each propensity toward a hard 0/1 threshold (at the value that
 /// preserves the column mean) until `mean(q(1−q))` matches `target_sc`.
 /// The mix weight is found by bisection; columns already at or below the
-/// target are left untouched.
-fn sharpen_boolean_column(column: &mut [f64], target_sc: f64) {
+/// target are left untouched. `scratch` is reused across columns.
+///
+/// The threshold is one order statistic, so it is selected in O(n), and
+/// each object's hard 0/1 target is recomputed from it where needed. The
+/// result stays bit-identical to a full sort with a stored target (the
+/// test reference `sharpen_by_sorting`).
+fn sharpen_boolean_column(column: &mut [f64], target_sc: f64, scratch: &mut Vec<f64>) {
     let n = column.len();
     let mean_q = column.iter().sum::<f64>() / n as f64;
     // Threshold at the (1 − mean)-quantile keeps the fraction of "hard
     // yes" objects equal to the mean propensity.
-    let mut sorted = column.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let idx = (((1.0 - mean_q) * n as f64) as usize).min(n - 1);
-    let threshold = sorted[idx];
-    let hard: Vec<f64> = column.iter().map(|&q| f64::from(q >= threshold)).collect();
+    scratch.clear();
+    scratch.extend_from_slice(column);
+    let (_, &mut threshold, _) =
+        scratch.select_nth_unstable_by(idx, |a, b| a.partial_cmp(b).unwrap());
+    let hard = |q: f64| f64::from(q >= threshold);
 
     let sc_at = |lambda: f64| -> f64 {
         column
             .iter()
-            .zip(&hard)
-            .map(|(&q, &h)| {
-                let m = (1.0 - lambda) * q + lambda * h;
+            .map(|&q| {
+                let m = (1.0 - lambda) * q + lambda * hard(q);
                 m * (1.0 - m)
             })
             .sum::<f64>()
@@ -252,8 +259,8 @@ fn sharpen_boolean_column(column: &mut [f64], target_sc: f64) {
         }
     }
     let lambda = 0.5 * (lo + hi);
-    for (q, &h) in column.iter_mut().zip(&hard) {
-        *q = (1.0 - lambda) * *q + lambda * h;
+    for q in column.iter_mut() {
+        *q = (1.0 - lambda) * *q + lambda * hard(*q);
     }
 }
 
@@ -272,8 +279,92 @@ fn disq_stats_variance(xs: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use crate::{AttributeSpec, DomainSpecBuilder};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Reference sharpening: a full sort for the order statistic and a
+    /// materialized `hard` column. [`sharpen_boolean_column`] must match
+    /// it bit for bit.
+    fn sharpen_by_sorting(column: &mut [f64], target_sc: f64) {
+        let n = column.len();
+        let mean_q = column.iter().sum::<f64>() / n as f64;
+        let mut sorted = column.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let idx = (((1.0 - mean_q) * n as f64) as usize).min(n - 1);
+        let threshold = sorted[idx];
+        let hard: Vec<f64> = column.iter().map(|&q| f64::from(q >= threshold)).collect();
+
+        let sc_at = |lambda: f64| -> f64 {
+            column
+                .iter()
+                .zip(&hard)
+                .map(|(&q, &h)| {
+                    let m = (1.0 - lambda) * q + lambda * h;
+                    m * (1.0 - m)
+                })
+                .sum::<f64>()
+                / n as f64
+        };
+        if sc_at(0.0) <= target_sc {
+            return;
+        }
+        let (mut lo, mut hi) = (0.0_f64, 1.0_f64);
+        for _ in 0..40 {
+            let mid = 0.5 * (lo + hi);
+            if sc_at(mid) > target_sc {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        let lambda = 0.5 * (lo + hi);
+        for (q, &h) in column.iter_mut().zip(&hard) {
+            *q = (1.0 - lambda) * *q + lambda * h;
+        }
+    }
+
+    /// Propensity columns of 8–5000 values built from runs: exact 0.0,
+    /// exact 1.0, one value repeated (ties), or distinct values.
+    fn propensity_column() -> impl Strategy<Value = Vec<f64>> {
+        collection::vec((0u8..4, 1usize..250, 0.0_f64..=1.0), 1..40).prop_map(|runs| {
+            let mut col = Vec::new();
+            for (kind, len, u) in runs {
+                col.extend((0..len).map(|i| match kind {
+                    0 => 0.0,
+                    1 => 1.0,
+                    2 => u,
+                    _ => (u + i as f64 * 0.618_033_988_749_895).fract(),
+                }));
+            }
+            col.truncate(5000);
+            col.resize(col.len().max(8), 0.5);
+            col
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn selected_sharpening_matches_sorting_bit_for_bit(
+            first in propensity_column(),
+            second in propensity_column(),
+            target_sc in 0.0_f64..0.3,
+        ) {
+            // One scratch across both columns, as `sample_chunked` reuses
+            // it; targets above 0.25 leave every column untouched.
+            let mut scratch = Vec::new();
+            for col in [first, second] {
+                let mut want = col.clone();
+                sharpen_by_sorting(&mut want, target_sc);
+                let mut got = col;
+                sharpen_boolean_column(&mut got, target_sc, &mut scratch);
+                let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&got), bits(&want));
+            }
+        }
+    }
 
     fn spec() -> Arc<DomainSpec> {
         Arc::new(

@@ -112,13 +112,13 @@ impl MultivariateNormal {
         for zi in z[..n].iter_mut() {
             *zi = standard_normal(rng);
         }
-        for i in 0..n {
-            // factor is lower triangular; only sum j <= i.
-            let mut acc = 0.0;
-            for j in 0..=i {
-                acc += self.factor[(i, j)] * z[j];
-            }
-            out[i] = self.mean[i] + acc;
+        for (i, (o, &mean)) in out[..n].iter_mut().zip(&self.mean).enumerate() {
+            // factor is lower triangular; only sum j <= i, left to right.
+            let acc = self.factor.row(i)[..=i]
+                .iter()
+                .zip(&z[..=i])
+                .fold(0.0, |acc, (&l, &zj)| acc + l * zj);
+            *o = mean + acc;
         }
     }
 
