@@ -25,7 +25,7 @@
 use crate::runner::Cell;
 use disq_core::online::OnlineAudit;
 use disq_core::{EvaluationPlan, PreprocessOutput};
-use disq_crowd::{WorkerId, WorkerLedger, WorkerPool};
+use disq_crowd::{WorkerLedger, WorkerPool};
 use disq_domain::{AttributeKind, ObjectId, Population};
 use disq_stats::{Cusum, Ewma};
 use disq_trace::{AttrAudit, Counter, TraceEvent};
@@ -41,20 +41,10 @@ const DRIFT_EWMA_ALPHA: f64 = 0.1;
 /// irreducible regression error at infinite answers.
 const FLOOR_BUDGET: f64 = 1e12;
 
-/// Worst-offender series published as live gauges (one `worker` label
-/// value each): bounding the cardinality keeps the scrape size flat no
-/// matter how large `DISQ_WORKER_POOL` grows.
-const OFFENDER_GAUGES: usize = 8;
-/// Upper bounds of the cumulative pool-quality histogram buckets
-/// (standardized residual variance; ≈ 1 for an average worker).
-const QUALITY_BUCKETS: [f64; 4] = [0.5, 1.0, 2.0, 4.0];
-
 /// Emits the worker provenance ledger of one repetition: one
 /// `worker_profile` event per pool member (the planted truth), one
 /// `worker_stats` event per worker the spam-filter audit attributed
-/// answers to (the observation), plus the live `disq_worker_*` gauges —
-/// per-worker quality/spam for the top-[`OFFENDER_GAUGES`] offenders and
-/// a cumulative pool-quality histogram.
+/// answers to (the observation).
 pub(crate) fn emit_worker_telemetry(
     cell: &Cell,
     rep: u64,
@@ -88,52 +78,6 @@ pub(crate) fn emit_worker_telemetry(
             residual_sq: t.residual_sq,
         });
     }
-
-    // ---- Live gauges ------------------------------------------------------
-    let mut scored: Vec<(WorkerId, f64, f64, f64)> = workers
-        .iter()
-        .map(|(w, t)| {
-            let quality = t.residual_var();
-            let spam = t.observed_spam_rate();
-            (w, quality, spam, disq_stats::offender_score(quality, spam))
-        })
-        .collect();
-    scored.sort_by(|a, b| b.3.total_cmp(&a.3).then(a.0.cmp(&b.0)));
-    for &(w, quality, spam, _) in scored.iter().take(OFFENDER_GAUGES) {
-        let name = w.to_string();
-        let labels = [("worker", name.as_str())];
-        disq_trace::gauge::set(
-            "disq_worker_quality",
-            "Empirical standardized-residual variance of a worst-offender worker (1 = average)",
-            &labels,
-            quality,
-        );
-        disq_trace::gauge::set(
-            "disq_worker_spam_rate",
-            "Fraction of a worst-offender worker's answers the spam filter rejected",
-            &labels,
-            spam,
-        );
-    }
-    for le in QUALITY_BUCKETS {
-        let count = scored
-            .iter()
-            .filter(|s| s.1.is_finite() && s.1 <= le)
-            .count();
-        let text = format!("{le}");
-        disq_trace::gauge::set(
-            "disq_worker_pool_quality_bucket",
-            "Cumulative count of attributed workers by residual-variance quality",
-            &[("le", text.as_str())],
-            count as f64,
-        );
-    }
-    disq_trace::gauge::set(
-        "disq_worker_pool_quality_bucket",
-        "Cumulative count of attributed workers by residual-variance quality",
-        &[("le", "+Inf")],
-        scored.len() as f64,
-    );
 }
 
 /// One drift detector pair (level + alarm) over one monitored metric of
@@ -178,7 +122,7 @@ impl DriftMonitor {
         }
     }
 
-    /// Emits the detector's final state and publishes it as gauges.
+    /// Emits the detector's final state.
     fn finish(&self, label: &str, attr: &str) {
         disq_trace::emit(|| TraceEvent::DriftUpdate {
             label: label.to_string(),
@@ -191,32 +135,13 @@ impl DriftMonitor {
             samples: self.cusum.samples(),
             alarms: self.cusum.alarms(),
         });
-        let labels = [("attr", attr), ("metric", self.metric)];
-        disq_trace::gauge::set(
-            "disq_drift_score",
-            "Two-sided CUSUM score of the monitored answer-stream metric (sigmas)",
-            &labels,
-            self.cusum.score(),
-        );
-        disq_trace::gauge::set(
-            "disq_drift_ewma",
-            "EWMA of standardized deviations of the monitored answer-stream metric",
-            &labels,
-            self.ewma.value(),
-        );
-        disq_trace::gauge::set(
-            "disq_drift_alarms",
-            "Drift alarms raised on the monitored answer-stream metric this run",
-            &labels,
-            self.cusum.alarms() as f64,
-        );
     }
 }
 
 /// Assembles and emits the full audit ledger of one repetition: one
 /// `query_audit` per query target, one `object_audit` per evaluated
 /// object per target, per-attribute `drift_update` (always) and
-/// `drift_detected` (alarms only) events, and the drift gauges.
+/// `drift_detected` (alarms only) events.
 ///
 /// `estimates`/`truth` are in query-target order (`estimates[i][qi]`),
 /// exactly as scored; `order[qi]` maps a query target to its plan

@@ -89,23 +89,6 @@ fn heterogeneous_shrinkage_recovers_planted_quality_ranking() {
             .map(|c| (c.worker, c.spam_propensity))
             .collect::<Vec<_>>()
     );
-
-    // Live worker-health gauges were published: per-worker offender
-    // series plus the pool-quality histogram.
-    let gauges = disq_trace::gauge::render();
-    assert!(
-        gauges.contains("# TYPE disq_worker_quality gauge"),
-        "{gauges}"
-    );
-    assert!(
-        gauges.contains("# TYPE disq_worker_spam_rate gauge"),
-        "{gauges}"
-    );
-    assert!(
-        gauges.contains("disq_worker_pool_quality_bucket{le=\"+Inf\"} 32"),
-        "{gauges}"
-    );
-    disq_trace::gauge::reset();
 }
 
 /// The provenance ledger is internally consistent: stats events join
@@ -171,5 +154,4 @@ fn worker_events_join_profiles_and_conserve_answer_counts() {
         "worker tallies {stats_answers} < audited answers {audited_answers}"
     );
     let _ = traced;
-    disq_trace::gauge::reset();
 }

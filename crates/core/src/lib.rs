@@ -28,7 +28,6 @@
 #![warn(missing_docs)]
 #![allow(clippy::needless_range_loop)] // per-target index loops mirror the paper's notation
 
-pub mod advisor;
 pub mod components;
 mod config;
 mod discovered;

@@ -546,7 +546,7 @@ mod tests {
         let residuals: u64 = workers.iter().map(|(_, t)| t.residual_n).sum();
         assert_eq!(residuals, kept_total, "all batches here are well-formed");
         for (w, t) in workers.iter() {
-            assert!(w.0 < 16, "worker {w} outside default pool");
+            assert!(w.0 < 16, "worker {w:?} outside default pool");
             assert!(t.numeric_answers > 0 || t.binary_answers > 0);
         }
     }

@@ -111,6 +111,9 @@ struct BatchState {
     /// Set by the leader when it detaches the batch to execute it;
     /// arrivals that see this must open a fresh batch instead.
     closed: bool,
+    /// Set when the leader unwound before publishing a result; waiting
+    /// followers then panic too instead of blocking forever.
+    abandoned: bool,
     /// The shared answers plus the outcome every sharer reports. On a
     /// partial failure (budget exhaustion mid-batch) the answers
     /// collected before the error are still here, matching the
@@ -297,6 +300,7 @@ impl<P: CrowdPlatform> CoalescingCrowd<P> {
                                 joiners: 1,
                                 reqs: vec![disq_trace::span::current_request()],
                                 closed: false,
+                                abandoned: false,
                                 result: None,
                             }),
                             cv: Condvar::new(),
@@ -327,6 +331,10 @@ impl<P: CrowdPlatform> CoalescingCrowd<P> {
                 let wait_span =
                     disq_trace::span!("batch_wait", "o={} a={} k={} follow", key.0, key.1, k);
                 while st.result.is_none() {
+                    if st.abandoned {
+                        drop(st);
+                        panic!("batch leader panicked");
+                    }
                     st = batch.cv.wait(st).unwrap_or_else(|e| e.into_inner());
                 }
                 drop(wait_span);
@@ -345,6 +353,11 @@ impl<P: CrowdPlatform> CoalescingCrowd<P> {
         k: usize,
         out: &mut Vec<f64>,
     ) -> Result<(), CrowdError> {
+        let unpublished = AbandonOnUnwind {
+            open: &self.inner.open,
+            key,
+            batch,
+        };
         let deadline = Instant::now() + self.inner.config.window;
         {
             let _wait_span =
@@ -427,8 +440,33 @@ impl<P: CrowdPlatform> CoalescingCrowd<P> {
         });
         let mut st = batch.state.lock().unwrap_or_else(|e| e.into_inner());
         st.result = Some((answers, outcome));
+        std::mem::forget(unpublished);
         batch.cv.notify_all();
         split_result(&st, k, out)
+    }
+}
+
+/// Held by a batch leader until it publishes the result (then disarmed
+/// with `mem::forget`). If the leader unwinds first, dropping this
+/// detaches the batch and wakes its followers, which then panic too:
+/// every sharer's request fails the same way and none blocks forever.
+struct AbandonOnUnwind<'a> {
+    open: &'a Mutex<HashMap<(u64, u32), Arc<Batch>>>,
+    key: (u64, u32),
+    batch: &'a Arc<Batch>,
+}
+
+impl Drop for AbandonOnUnwind<'_> {
+    fn drop(&mut self) {
+        let mut open = self.open.lock().unwrap_or_else(|e| e.into_inner());
+        if matches!(open.get(&self.key), Some(b) if Arc::ptr_eq(b, self.batch)) {
+            open.remove(&self.key);
+        }
+        drop(open);
+        let mut st = self.batch.state.lock().unwrap_or_else(|e| e.into_inner());
+        st.closed = true;
+        st.abandoned = true;
+        self.batch.cv.notify_all();
     }
 }
 
@@ -469,7 +507,7 @@ impl<P: CrowdPlatform> crate::ValueSource for CoalescingCrowd<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CrowdConfig, SimulatedCrowd, ValueSource};
+    use crate::{BudgetLedger, CrowdConfig, SimulatedCrowd, ValueSource};
     use disq_domain::{domains::pictures, Population};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -663,6 +701,97 @@ mod tests {
             assert_eq!(out.len(), 3, "partial answers survive");
         }
         assert_eq!(outcomes[0].0, outcomes[1].0);
+    }
+
+    /// A platform whose first value question panics; later questions
+    /// go to a simulated crowd.
+    struct PanicsOnce {
+        inner: SimulatedCrowd,
+        panicked: bool,
+    }
+
+    impl CrowdPlatform for PanicsOnce {
+        fn ask_value(&mut self, o: ObjectId, a: AttributeId) -> Result<f64, CrowdError> {
+            if !std::mem::replace(&mut self.panicked, true) {
+                panic!("platform failure");
+            }
+            self.inner.ask_value(o, a)
+        }
+        fn ask_dismantle(&mut self, a: AttributeId) -> Result<String, CrowdError> {
+            self.inner.ask_dismantle(a)
+        }
+        fn ask_verify(&mut self, candidate: &str, of: AttributeId) -> Result<bool, CrowdError> {
+            self.inner.ask_verify(candidate, of)
+        }
+        fn ask_example(
+            &mut self,
+            attrs: &[AttributeId],
+        ) -> Result<(ObjectId, Vec<f64>), CrowdError> {
+            self.inner.ask_example(attrs)
+        }
+        fn ledger(&self) -> &BudgetLedger {
+            self.inner.ledger()
+        }
+    }
+
+    /// A leader whose platform call panics must not strand its
+    /// follower: the follower fails promptly too, both query guards
+    /// drop, and the cell then coalesces again on a fresh batch.
+    #[test]
+    fn panicking_leader_releases_its_followers() {
+        let a = bmi();
+        let platform = PanicsOnce {
+            inner: crowd(4, None),
+            panicked: false,
+        };
+        let config = BatcherConfig {
+            window: Duration::from_secs(30), // saturation fires the batch
+            max_batch: 2,
+        };
+        let coalescer = CoalescingCrowd::new(platform, config);
+        let both_in_flight = StdArc::new(std::sync::Barrier::new(2));
+        // One query per thread, holding its own guard, as the daemon's
+        // request threads do; the follower joins once the batch is open.
+        let ask = |leader: bool| {
+            let mut h = coalescer.clone();
+            let both_in_flight = StdArc::clone(&both_in_flight);
+            std::thread::spawn(move || {
+                let _query = h.begin_query();
+                both_in_flight.wait();
+                while !leader && h.inner.open.lock().unwrap().is_empty() {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                let mut out = Vec::new();
+                h.ask_values(ObjectId(0), a, 2, &mut out).unwrap();
+                out
+            })
+        };
+
+        let (leader, follower) = (ask(true), ask(false));
+        let start = Instant::now();
+        while !follower.is_finished() {
+            assert!(
+                start.elapsed() < Duration::from_secs(5),
+                "follower still blocked after its leader panicked"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let payload = follower.join().expect_err("the follower fails too");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"batch leader panicked")
+        );
+        assert!(
+            leader.join().is_err(),
+            "the leader's platform call panicked"
+        );
+        assert_eq!(coalescer.in_flight(), 0);
+
+        let (leader, follower) = (ask(true), ask(false));
+        let shared = leader.join().unwrap();
+        assert_eq!(shared.len(), 2);
+        assert_eq!(follower.join().unwrap(), shared, "one fresh shared batch");
+        assert_eq!(coalescer.stats().coalesced_batches, 2);
     }
 
     /// The query guard counter pairs increments with decrements.

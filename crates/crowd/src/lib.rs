@@ -15,9 +15,7 @@
 //! * the paper's price sheet — 0.1¢ binary / 0.4¢ numeric value questions,
 //!   1.5¢ dismantling, 5¢ examples ([`PricingModel`], exact fixed-point
 //!   [`Money`]),
-//! * budget accounting with hard caps ([`BudgetLedger`]),
-//! * the §5.1 record-and-reuse answer database ([`RecordingCrowd`],
-//!   [`ReplayingCrowd`]), and
+//! * budget accounting with hard caps ([`BudgetLedger`]), and
 //! * the spam filtering the paper assumes is employed
 //!   ([`filter_spam`]).
 
@@ -30,7 +28,6 @@ mod money;
 mod platform;
 mod pricing;
 mod question;
-mod recorder;
 mod spam;
 mod worker;
 
@@ -47,7 +44,6 @@ pub use money::Money;
 pub use platform::{CrowdConfig, CrowdPlatform, SimulatedCrowd, ValueSource};
 pub use pricing::PricingModel;
 pub use question::{QuestionKind, ValueBatch};
-pub use recorder::{AnswerLog, RecordingCrowd, ReplayingCrowd};
 pub use spam::{filter_spam, filter_spam_into, SpamStats};
 pub use worker::{
     WorkerConfig, WorkerId, WorkerLedger, WorkerModel, WorkerPool, WorkerProfile, WorkerTally,

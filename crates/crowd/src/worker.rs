@@ -35,16 +35,6 @@ impl WorkerId {
     }
 }
 
-impl std::fmt::Display for WorkerId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.is_anonymous() {
-            write!(f, "w?")
-        } else {
-            write!(f, "w{}", self.0)
-        }
-    }
-}
-
 /// Which quality model the pool is generated under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WorkerModel {
@@ -228,28 +218,6 @@ impl WorkerTally {
     pub fn answers(&self) -> u64 {
         self.binary_answers + self.numeric_answers
     }
-
-    /// Fraction of the worker's answers the spam filter rejected (NaN
-    /// with no answers).
-    pub fn observed_spam_rate(&self) -> f64 {
-        if self.answers() == 0 {
-            f64::NAN
-        } else {
-            self.rejected as f64 / self.answers() as f64
-        }
-    }
-
-    /// Empirical variance of the worker's standardized residuals — the
-    /// scale-free quality signal (≈ 1 for an average worker, grows with
-    /// the planted sd multiplier). NaN below 2 residuals.
-    pub fn residual_var(&self) -> f64 {
-        if self.residual_n < 2 {
-            return f64::NAN;
-        }
-        let n = self.residual_n as f64;
-        let mean = self.residual_sum / n;
-        ((self.residual_sq / n) - mean * mean).max(0.0) * n / (n - 1.0)
-    }
 }
 
 /// Per-worker tallies of an audited run, keyed by worker id.
@@ -317,9 +285,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn anonymous_displays_and_filters() {
-        assert_eq!(WorkerId(3).to_string(), "w3");
-        assert_eq!(WorkerId::ANONYMOUS.to_string(), "w?");
+    fn anonymous_sentinel_is_recognised() {
         assert!(WorkerId::ANONYMOUS.is_anonymous());
         assert!(!WorkerId(0).is_anonymous());
     }
@@ -395,18 +361,9 @@ mod tests {
         assert_eq!(t.numeric_answers, 2);
         assert_eq!(t.binary_answers, 1);
         assert_eq!(t.rejected, 1);
-        assert!((t.observed_spam_rate() - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(t.residual_n, 2);
-        // Two residuals ±1: sample variance 2.
-        assert!((t.residual_var() - 2.0).abs() < 1e-12);
+        assert_eq!(t.residual_sum, 0.0);
+        assert_eq!(t.residual_sq, 2.0);
         assert!(l.get(WorkerId(7)).is_none());
-    }
-
-    #[test]
-    fn residual_var_degenerates_to_nan() {
-        let mut l = WorkerLedger::new();
-        l.record_answer(WorkerId(0), true, false);
-        assert!(l.get(WorkerId(0)).unwrap().residual_var().is_nan());
-        assert!(l.get(WorkerId(0)).unwrap().observed_spam_rate() == 0.0);
     }
 }

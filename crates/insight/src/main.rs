@@ -61,8 +61,8 @@ usage:
       flamegraph.pl/speedscope, valued in self-microseconds, or
       self-allocated-bytes with --bytes.
 
-  disq-insight serve <trace.jsonl> is not a thing: live metrics come
-      from the traced process itself via DISQ_METRICS_ADDR=127.0.0.1:PORT.
+  Live metrics are not this tool's job: the disq-serve daemon serves
+      Prometheus text on GET /metrics.
 
   Performance regressions are judged by the disq-benchmark package
   (see disq-benchmark/README.md), not by this tool.

@@ -36,7 +36,7 @@ pub use lstsq::{lstsq_svd, LeastSquaresFit};
 pub use lu::Lu;
 pub use matrix::Matrix;
 pub use psd::{is_psd, nearest_correlation, nearest_psd};
-pub use quadform::{quad_form_inv, QuadFormWorkspace};
+pub use quadform::QuadFormWorkspace;
 pub use sampling::{standard_normal, MultivariateNormal, NormalSampler};
 pub use svd::{svd_jacobi, Svd};
 

@@ -1,5 +1,6 @@
 //! Property-based tests over the numeric kernels.
 
+use crate::quadform::quad_form_once;
 use crate::*;
 use proptest::prelude::*;
 
@@ -117,15 +118,15 @@ proptest! {
     fn quad_form_nonnegative_on_spd(a in spd_matrix(4),
                                     v in proptest::collection::vec(-5.0_f64..5.0, 4),
                                     d in proptest::collection::vec(0.0_f64..2.0, 4)) {
-        let val = quad_form_inv(&a, &d, &v).unwrap();
+        let val = quad_form_once(&a, &d, &v).unwrap();
         prop_assert!(val >= -1e-9);
     }
 
     #[test]
     fn quad_form_decreases_with_noise(a in spd_matrix(3),
                                       v in proptest::collection::vec(-5.0_f64..5.0, 3)) {
-        let small = quad_form_inv(&a, &[0.01; 3], &v).unwrap();
-        let large = quad_form_inv(&a, &[10.0; 3], &v).unwrap();
+        let small = quad_form_once(&a, &[0.01; 3], &v).unwrap();
+        let large = quad_form_once(&a, &[10.0; 3], &v).unwrap();
         prop_assert!(small >= large - 1e-9);
     }
 

@@ -77,9 +77,10 @@ impl QuadFormWorkspace {
     /// Factorizes `M + Diag(d)` where the symmetric `M` is given entry-wise
     /// by `entry(i, j)` for `j ≤ i` (only the lower triangle is read).
     ///
-    /// Follows the same rescue ladder as the one-shot evaluator: plain
-    /// Cholesky, then diagonal jitter growing from `1e-10·max|A|` to
-    /// `1e-4·max|A|`, then a dense LU of the symmetric reconstruction.
+    /// Rescue ladder: plain Cholesky (the matrix is a covariance plus a
+    /// positive diagonal, hence SPD in the common case), then diagonal
+    /// jitter growing from `1e-10·max|A|` to `1e-4·max|A|`, then a dense
+    /// LU of the symmetric reconstruction.
     pub fn factorize_with(
         &mut self,
         n: usize,
@@ -216,27 +217,9 @@ impl QuadFormWorkspace {
     }
 }
 
-/// Evaluates `vᵀ · (m + Diag(d))⁻¹ · v` in one shot.
-///
-/// `m` must be square and match the lengths of `v` and `d`. Tries a
-/// Cholesky solve first (the matrix is a covariance plus positive diagonal,
-/// hence SPD in the common case), falls back to jittered Cholesky and then
-/// LU so slightly broken estimates still yield a usable score. Callers in
-/// hot loops should keep a [`QuadFormWorkspace`] instead.
-pub fn quad_form_inv(m: &Matrix, d: &[f64], v: &[f64]) -> Result<f64> {
-    let n = m.rows();
-    if !m.is_square() {
-        return Err(MathError::NotSquare {
-            rows: m.rows(),
-            cols: m.cols(),
-        });
-    }
-    if d.len() != n || v.len() != n {
-        return Err(MathError::ShapeMismatch {
-            expected: format!("{n}x1"),
-            found: format!("{}x1 / {}x1", d.len(), v.len()),
-        });
-    }
+/// `vᵀ (m + Diag(d))⁻¹ v` through a fresh workspace.
+#[cfg(test)]
+pub(crate) fn quad_form_once(m: &Matrix, d: &[f64], v: &[f64]) -> Result<f64> {
     let mut ws = QuadFormWorkspace::new();
     ws.factorize(m, d)?;
     ws.quad_form(v)
@@ -246,10 +229,17 @@ pub fn quad_form_inv(m: &Matrix, d: &[f64], v: &[f64]) -> Result<f64> {
 mod tests {
     use super::*;
 
+    /// `vᵀ a⁻¹ v` through an explicit LU inverse.
+    fn via_lu_inverse(a: &Matrix, v: &[f64]) -> f64 {
+        let inv = Lu::new(a).unwrap().inverse().unwrap();
+        let iv = inv.matvec(v).unwrap();
+        v.iter().zip(&iv).map(|(&a, &b)| a * b).sum()
+    }
+
     #[test]
     fn identity_gives_norm_squared() {
         let m = Matrix::identity(3);
-        let val = quad_form_inv(&m, &[0.0; 3], &[1.0, 2.0, 2.0]).unwrap();
+        let val = quad_form_once(&m, &[0.0; 3], &[1.0, 2.0, 2.0]).unwrap();
         assert!((val - 9.0).abs() < 1e-12);
     }
 
@@ -257,7 +247,7 @@ mod tests {
     fn diagonal_added_correctly() {
         // (I + I)⁻¹ halves the norm.
         let m = Matrix::identity(2);
-        let val = quad_form_inv(&m, &[1.0, 1.0], &[2.0, 0.0]).unwrap();
+        let val = quad_form_once(&m, &[1.0, 1.0], &[2.0, 0.0]).unwrap();
         assert!((val - 2.0).abs() < 1e-12);
     }
 
@@ -269,12 +259,8 @@ mod tests {
         let mut a = m.clone();
         a[(0, 0)] += d[0];
         a[(1, 1)] += d[1];
-        let inv = Lu::new(&a).unwrap().inverse().unwrap();
-        let expect = {
-            let iv = inv.matvec(&v).unwrap();
-            v.iter().zip(&iv).map(|(&a, &b)| a * b).sum::<f64>()
-        };
-        let got = quad_form_inv(&m, &d, &v).unwrap();
+        let expect = via_lu_inverse(&a, &v);
+        let got = quad_form_once(&m, &d, &v).unwrap();
         assert!((got - expect).abs() < 1e-12);
     }
 
@@ -286,7 +272,7 @@ mod tests {
             vec![0.2, 0.3, 1.0],
         ]);
         for v in [[1.0, 0.0, 0.0], [0.3, -0.7, 0.2], [-1.0, -1.0, -1.0]] {
-            let val = quad_form_inv(&m, &[0.1, 0.1, 0.1], &v).unwrap();
+            let val = quad_form_once(&m, &[0.1, 0.1, 0.1], &v).unwrap();
             assert!(val >= 0.0);
         }
     }
@@ -297,31 +283,23 @@ mod tests {
         // variance — the core monotonicity the greedy solver relies on.
         let m = Matrix::from_rows(&[vec![1.0, 0.4], vec![0.4, 1.0]]);
         let v = [0.8, 0.6];
-        let tight = quad_form_inv(&m, &[0.01, 0.01], &v).unwrap();
-        let loose = quad_form_inv(&m, &[1.0, 1.0], &v).unwrap();
+        let tight = quad_form_once(&m, &[0.01, 0.01], &v).unwrap();
+        let loose = quad_form_once(&m, &[1.0, 1.0], &v).unwrap();
         assert!(tight > loose);
     }
 
     #[test]
     fn empty_is_zero() {
         let m = Matrix::zeros(0, 0);
-        assert_eq!(quad_form_inv(&m, &[], &[]).unwrap(), 0.0);
+        assert_eq!(quad_form_once(&m, &[], &[]).unwrap(), 0.0);
     }
 
     #[test]
     fn shape_validation() {
         let m = Matrix::identity(2);
-        assert!(quad_form_inv(&m, &[0.0], &[1.0, 1.0]).is_err());
-        assert!(quad_form_inv(&Matrix::zeros(2, 3), &[0.0, 0.0], &[1.0, 1.0]).is_err());
-    }
-
-    #[test]
-    fn indefinite_estimate_still_scored_via_lu() {
-        // An indefinite "covariance" (broken estimate); LU fallback should
-        // still return a finite number rather than erroring out.
-        let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 1.0]]);
-        let val = quad_form_inv(&m, &[0.0, 0.0], &[1.0, 1.0]).unwrap();
-        assert!(val.is_finite());
+        assert!(quad_form_once(&m, &[0.0], &[1.0, 1.0]).is_err());
+        assert!(quad_form_once(&m, &[0.0, 0.0], &[1.0]).is_err());
+        assert!(quad_form_once(&Matrix::zeros(2, 3), &[0.0, 0.0], &[1.0, 1.0]).is_err());
     }
 
     #[test]
@@ -349,12 +327,14 @@ mod tests {
     fn workspace_factorize_once_solve_many() {
         let m = Matrix::from_rows(&[vec![2.0, 0.5], vec![0.5, 1.0]]);
         let d = [0.3, 0.7];
+        let mut a = m.clone();
+        a[(0, 0)] += d[0];
+        a[(1, 1)] += d[1];
         let mut ws = QuadFormWorkspace::new();
         ws.factorize(&m, &d).unwrap();
         for v in [[1.0, -1.0], [0.0, 2.0], [3.0, 0.5]] {
             let got = ws.quad_form(&v).unwrap();
-            let expect = quad_form_inv(&m, &d, &v).unwrap();
-            assert_eq!(got, expect);
+            assert!((got - via_lu_inverse(&a, &v)).abs() < 1e-12, "{v:?}");
         }
     }
 
@@ -379,12 +359,15 @@ mod tests {
     }
 
     #[test]
-    fn workspace_lu_fallback_matches_one_shot() {
+    fn workspace_lu_fallback_scores_indefinite_estimate() {
+        // An indefinite "covariance" (a broken estimate, eigenvalues 3 and
+        // −1) defeats Cholesky at every jitter level; the LU fallback must
+        // still score it exactly: [[1,2],[2,1]]⁻¹ [1,1] = [1/3, 1/3].
         let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 1.0]]);
         let mut ws = QuadFormWorkspace::new();
         ws.factorize(&m, &[0.0, 0.0]).unwrap();
+        assert!(matches!(ws.state, FactorState::Lu(_)));
         let got = ws.quad_form(&[1.0, 1.0]).unwrap();
-        let expect = quad_form_inv(&m, &[0.0, 0.0], &[1.0, 1.0]).unwrap();
-        assert_eq!(got, expect);
+        assert!((got - 2.0 / 3.0).abs() < 1e-12, "{got}");
     }
 }

@@ -323,13 +323,11 @@ fn handle_query(
     Ok(Response::json(render_result(&attribute, &result, source)))
 }
 
-/// The `/metrics` body: counter/timer exposition, the process-wide
-/// gauge families (drift levels, worker quality) and this engine's own
+/// The `/metrics` body: counter/timer exposition and this engine's own
 /// serving gauges (SLO compliance, burn rate, latency histograms, plan
 /// cache) in one scrape.
 fn metrics_body(engine: &Engine) -> String {
     let mut body = disq_trace::prometheus_text(&disq_trace::summary());
-    body.push_str(&disq_trace::gauge::render());
     body.push_str(&engine.render_gauges());
     body
 }

@@ -1,23 +1,14 @@
-//! Process-global Prometheus gauges for *current-state* observability.
+//! Prometheus gauges for *current-state* observability.
 //!
-//! Counters (see [`crate::metrics`]) only go up; the drift detectors
-//! need to publish levels — "how close is this attribute's answer
-//! stream to alarming right now" — which is what a Prometheus gauge is
-//! for. The registry is a labelled family map guarded by a mutex: gauge
-//! updates happen at audit granularity (once per query target per
-//! attribute), far off the per-answer hot path, so a lock is fine and
-//! keeps the implementation dependency-free.
-//!
-//! [`render`] emits text exposition format 0.0.4; [`crate::serve`]
-//! appends it to the counter/histogram body from
-//! [`crate::expo::prometheus_text`] so one scrape sees everything.
-//! State that a component already owns (the serving daemon's routes and
-//! plan cache) is better rendered at scrape time into a local
-//! [`GaugeSet`] than copied into this registry on every update.
+//! Counters (see [`crate::metrics`]) only go up; a component that owns
+//! a level — a route's SLO compliance, a plan cache's size — publishes
+//! it as a Prometheus gauge. The owner renders its state at scrape time
+//! into a local [`GaugeSet`], so updates cost nothing between scrapes,
+//! and appends it to the counter/histogram body from
+//! [`crate::expo::prometheus_text`], so one scrape sees everything.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Mutex;
 
 /// One gauge family: a help string plus labelled series.
 struct Family {
@@ -27,8 +18,6 @@ struct Family {
 }
 
 /// A set of labelled gauge families, rendered in family-name order.
-/// The process-global registry is one; a component can build its own
-/// at scrape time.
 #[derive(Default)]
 pub struct GaugeSet {
     families: BTreeMap<&'static str, Family>,
@@ -90,8 +79,6 @@ impl GaugeSet {
     }
 }
 
-static GAUGES: Mutex<GaugeSet> = Mutex::new(GaugeSet::new());
-
 /// Escapes a label value per the exposition format (backslash, quote,
 /// newline).
 fn escape_label(out: &mut String, value: &str) {
@@ -119,56 +106,27 @@ fn encode_labels(labels: &[(&str, &str)]) -> String {
     s
 }
 
-/// Sets one labelled series of the process-global registry; see
-/// [`GaugeSet::set`].
-pub fn set(family: &'static str, help: &'static str, labels: &[(&str, &str)], value: f64) {
-    GAUGES
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .set(family, help, labels, value);
-}
-
-/// Renders the process-global registry; see [`GaugeSet::render`].
-pub fn render() -> String {
-    GAUGES.lock().unwrap_or_else(|e| e.into_inner()).render()
-}
-
-/// Clears every registered gauge (test isolation).
-pub fn reset() {
-    *GAUGES.lock().unwrap_or_else(|e| e.into_inner()) = GaugeSet::new();
-}
-
-/// The registry is process-global; in-crate tests that touch it (here
-/// and in [`crate::serve`]) serialize on this lock.
-#[cfg(test)]
-pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::MutexGuard;
-
-    fn lock() -> MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     #[test]
     fn set_then_render_roundtrips() {
-        let _guard = lock();
-        reset();
-        set(
+        let mut set = GaugeSet::new();
+        assert_eq!(set.render(), "");
+        set.set(
             "disq_drift_score",
             "CUSUM score",
             &[("attr", "Weight"), ("metric", "answer_var")],
             1.25,
         );
-        set(
+        set.set(
             "disq_drift_score",
             "CUSUM score",
             &[("attr", "Weight"), ("metric", "spam_rate")],
             0.0,
         );
-        let text = render();
+        let text = set.render();
         assert!(text.contains("# TYPE disq_drift_score gauge"), "{text}");
         assert!(
             text.contains("disq_drift_score{attr=\"Weight\",metric=\"answer_var\"} 1.25"),
@@ -178,83 +136,35 @@ mod tests {
             text.contains("disq_drift_score{attr=\"Weight\",metric=\"spam_rate\"} 0"),
             "{text}"
         );
-        reset();
-        assert_eq!(render(), "");
     }
 
     #[test]
     fn updates_overwrite_and_labels_escape() {
-        let _guard = lock();
-        reset();
-        set("disq_test_gauge", "help", &[("k", "a\"b\\c\nd")], 1.0);
-        set("disq_test_gauge", "help", &[("k", "a\"b\\c\nd")], 2.0);
-        let text = render();
+        let mut set = GaugeSet::new();
+        set.set("disq_test_gauge", "help", &[("k", "a\"b\\c\nd")], 1.0);
+        set.set("disq_test_gauge", "help", &[("k", "a\"b\\c\nd")], 2.0);
+        let text = set.render();
         // One series, latest value, escaped label.
         assert_eq!(text.matches("disq_test_gauge{").count(), 1, "{text}");
         assert!(
             text.contains("disq_test_gauge{k=\"a\\\"b\\\\c\\nd\"} 2"),
             "{text}"
         );
-        reset();
-    }
-
-    /// Concurrent labelled updates across many threads never corrupt the
-    /// registry: every series lands with its final value and the
-    /// rendered text stays well-formed.
-    #[test]
-    fn concurrent_labelled_updates_are_consistent() {
-        let _guard = lock();
-        reset();
-        const THREADS: usize = 8;
-        const ROUNDS: usize = 200;
-        std::thread::scope(|scope| {
-            for t in 0..THREADS {
-                scope.spawn(move || {
-                    let worker = format!("w{t}");
-                    for round in 0..ROUNDS {
-                        // Each thread owns one series (its final write
-                        // must win) and also hammers one shared series.
-                        set(
-                            "disq_worker_quality",
-                            "help",
-                            &[("worker", worker.as_str())],
-                            round as f64,
-                        );
-                        set("disq_concurrent_shared", "help", &[], round as f64);
-                    }
-                });
-            }
-        });
-        let text = render();
-        for t in 0..THREADS {
-            let want = format!("disq_worker_quality{{worker=\"w{t}\"}} {}", ROUNDS - 1);
-            assert!(text.contains(&want), "missing {want:?} in {text}");
-        }
-        // The shared series holds *some* thread's final write.
-        assert!(
-            text.contains(&format!("disq_concurrent_shared {}", ROUNDS - 1)),
-            "{text}"
-        );
-        // Exactly one sample line per series, one HELP/TYPE per family.
-        assert_eq!(text.matches("disq_worker_quality{").count(), THREADS);
-        assert_eq!(text.matches("# TYPE disq_worker_quality gauge").count(), 1);
-        reset();
     }
 
     /// Worker/attribute labels can contain every character the
     /// exposition format singles out; rendered output escapes them all.
     #[test]
     fn worker_label_escaping_covers_quotes_backslashes_newlines() {
-        let _guard = lock();
-        reset();
         for (raw, escaped) in [
             ("he said \"hi\"", "he said \\\"hi\\\""),
             ("C:\\crowd\\worker", "C:\\\\crowd\\\\worker"),
             ("line1\nline2", "line1\\nline2"),
             ("mix\"of\\all\nthree", "mix\\\"of\\\\all\\nthree"),
         ] {
-            set("disq_escape_gauge", "help", &[("worker", raw)], 1.0);
-            let text = render();
+            let mut set = GaugeSet::new();
+            set.set("disq_escape_gauge", "help", &[("worker", raw)], 1.0);
+            let text = set.render();
             let want = format!("disq_escape_gauge{{worker=\"{escaped}\"}} 1");
             assert!(
                 text.contains(&want),
@@ -271,19 +181,16 @@ mod tests {
                 1,
                 "escaped newline must keep the sample on one line: {text}"
             );
-            reset();
         }
     }
 
     #[test]
     fn non_finite_values_render_spec_forms() {
-        let _guard = lock();
-        reset();
-        set("disq_nan_gauge", "help", &[], f64::NAN);
-        set("disq_inf_gauge", "help", &[], f64::INFINITY);
-        let text = render();
+        let mut set = GaugeSet::new();
+        set.set("disq_nan_gauge", "help", &[], f64::NAN);
+        set.set("disq_inf_gauge", "help", &[], f64::INFINITY);
+        let text = set.render();
         assert!(text.contains("disq_nan_gauge NaN"), "{text}");
         assert!(text.contains("disq_inf_gauge +Inf"), "{text}");
-        reset();
     }
 }

@@ -13,7 +13,7 @@
 //!   selects a buffered [`JsonlSink`]; tests use [`MemorySink`].
 //! * **Counters** ([`Counter`]) — always-on relaxed atomics for the
 //!   quantities that must never be invisible (questions per kind, spend,
-//!   spam-filter fallbacks, replay fall-throughs).
+//!   spam-filter fallbacks).
 //! * **Timers** ([`Timer`]) — streaming log₂ histograms of the
 //!   `disq-math` kernel latencies, recorded only while a sink is
 //!   installed (see [`time`]).
@@ -28,10 +28,9 @@
 //!   exposition.
 //! * **Post-hoc analysis** — [`TraceReader`] streams events back out of
 //!   a JSONL file (crash-tolerant: corrupt lines are counted and
-//!   skipped), [`prometheus_text`] renders a [`RunSummary`] in
-//!   Prometheus exposition format, and [`MetricsServer`] serves that
-//!   rendering live over HTTP (`DISQ_METRICS_ADDR=127.0.0.1:PORT`),
-//!   appending any labelled [`gauge`] families (drift-detector levels).
+//!   skipped), and [`prometheus_text`] renders a [`RunSummary`] in
+//!   Prometheus exposition format, to which a component appends its own
+//!   labelled [`gauge::GaugeSet`] (the `disq-serve` daemon's `/metrics`).
 //!   The `disq-insight` crate builds its reports on these pieces.
 //!
 //! The build environment has no crates.io access, so everything —
@@ -56,7 +55,6 @@ pub mod json;
 mod metrics;
 pub mod reader;
 mod recorder;
-pub mod serve;
 mod sink;
 pub mod span;
 
@@ -69,7 +67,6 @@ pub use metrics::{
 };
 pub use reader::{SkippedLine, TraceReader, MAX_SKIP_DETAILS};
 pub use recorder::{FlightRecorder, RECORDER_DEFAULT_CAP, RECORDER_DEFAULT_RETAIN};
-pub use serve::{MetricsServer, METRICS_ENV_VAR};
 pub use sink::{JsonlSink, MemorySink, NullSink, TraceSink, MEMORY_SINK_DEFAULT_CAP};
 pub use span::{thread_alloc_bytes, thread_allocs, RequestGuard, SpanGuard};
 
@@ -156,14 +153,12 @@ pub fn recorder() -> Option<Arc<FlightRecorder>> {
     RECORDER.read().unwrap().clone()
 }
 
-/// Installs a [`JsonlSink`] at the path named by `DISQ_TRACE` and starts
-/// the metrics endpoint named by `DISQ_METRICS_ADDR`, once per process.
-/// Idempotent and cheap to call from every entry point (`preprocess`,
-/// the bench harness, examples); does nothing when the variables are
-/// unset, or when a sink was already installed manually.
+/// Installs a [`JsonlSink`] at the path named by `DISQ_TRACE`, once per
+/// process. Idempotent and cheap to call from every entry point
+/// (`preprocess`, the bench harness, examples); does nothing when the
+/// variable is unset, or when a sink was already installed manually.
 pub fn init_from_env() {
     ENV_INIT.call_once(|| {
-        serve::init_from_env();
         let Ok(path) = std::env::var(TRACE_ENV_VAR) else {
             return;
         };

@@ -4,8 +4,8 @@
 //! Counters are process-global relaxed atomics: incrementing one costs a
 //! few nanoseconds, far below the cost of any crowd question or linear
 //! solve it annotates, so they stay on even when no trace sink is
-//! installed — that is what makes silent behaviours (spam-filter
-//! fallbacks, replay fall-throughs) visible in every run. Timers wrap
+//! installed — that is what makes silent behaviours (spam-filter and
+//! solver fallbacks) visible in every run. Timers wrap
 //! the `disq-math` kernels and *are* gated on an installed sink, because
 //! two `Instant::now` calls per tiny Cholesky solve would be measurable
 //! in the greedy loop.
@@ -97,11 +97,6 @@ metric_table! {
         BudgetSteps = "budget_steps", "Greedy budget-distribution grants";
         /// Per-target regressions fitted.
         RegressionFits = "regression_fits", "Per-target regressions fitted";
-        /// Answers served from a replay log.
-        ReplayServed = "replay_served", "Answers served from a replay log";
-        /// Replay lookups that fell through to the live platform because the
-        /// log was exhausted (or keyed differently).
-        ReplayFellThrough = "replay_fell_through", "Replay lookups that fell through to live";
         /// Greedy budget-distribution calls where the incremental
         /// Sherman–Morrison engine hit a numerical breakdown (non-SPD
         /// update, non-finite statistics) and restarted on the dense
@@ -436,8 +431,6 @@ impl RunSummary {
             (Counter::RegressionFits, "regression fits"),
             (Counter::SpamAnswersDropped, "spam drops"),
             (Counter::SpamFallbacks, "spam fallbacks"),
-            (Counter::ReplayServed, "replayed"),
-            (Counter::ReplayFellThrough, "replay fall-throughs"),
             (Counter::SolverFallbacks, "solver fallbacks"),
             (Counter::ProbeCacheHits, "probe cache hits"),
             (Counter::AuditedObjects, "audited objects"),
@@ -608,8 +601,8 @@ mod tests {
             for _ in 0..THREADS {
                 scope.spawn(|| {
                     for _ in 0..PER_THREAD {
-                        count(Counter::ReplayServed);
-                        count_n(Counter::ReplayFellThrough, 2);
+                        count(Counter::SprtAccepted);
+                        count_n(Counter::SprtRejected, 2);
                     }
                 });
             }
@@ -626,18 +619,18 @@ mod tests {
         });
         let delta = summary().delta_since(&before);
         assert_eq!(
-            delta.counter(Counter::ReplayServed),
+            delta.counter(Counter::SprtAccepted),
             (THREADS as u64) * PER_THREAD
         );
         assert_eq!(
-            delta.counter(Counter::ReplayFellThrough),
+            delta.counter(Counter::SprtRejected),
             (THREADS as u64) * PER_THREAD * 2
         );
         // A delta of a summary against itself is empty on those counters.
         let now = summary();
         let self_delta = now.delta_since(&now);
-        assert_eq!(self_delta.counter(Counter::ReplayServed), 0);
-        assert_eq!(self_delta.counter(Counter::ReplayFellThrough), 0);
+        assert_eq!(self_delta.counter(Counter::SprtAccepted), 0);
+        assert_eq!(self_delta.counter(Counter::SprtRejected), 0);
     }
 
     #[test]

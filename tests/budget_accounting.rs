@@ -1,10 +1,7 @@
-//! Integration tests of the money flow: ledgers, caps, record/replay.
+//! Integration tests of the money flow: ledgers and caps.
 
 use disq::core::{preprocess, DisqConfig, DisqError};
-use disq::crowd::{
-    CrowdConfig, CrowdPlatform, Money, PricingModel, QuestionKind, RecordingCrowd, ReplayingCrowd,
-    SimulatedCrowd,
-};
+use disq::crowd::{CrowdConfig, CrowdPlatform, Money, PricingModel, QuestionKind, SimulatedCrowd};
 use disq::domain::domains::pictures;
 use disq::domain::Population;
 use rand::rngs::StdRng;
@@ -92,48 +89,4 @@ fn too_small_budget_fails_without_spending_everything() {
     assert!(matches!(err, DisqError::BudgetTooSmall { .. }));
     // Failing early must not have burned the budget.
     assert_eq!(c.ledger().spent(), Money::ZERO);
-}
-
-#[test]
-fn recorded_answers_replay_across_runs() {
-    // The §5.1 record-and-reuse discipline: a recorded session replays
-    // identically on a fresh (different-seed) crowd.
-    let (_, inner) = crowd(Money::from_dollars(20.0), 11);
-    let spec = Arc::new(pictures::spec());
-    let bmi = spec.id_of("Bmi").unwrap();
-    let mut recorder = RecordingCrowd::new(inner);
-    let out1 = preprocess(
-        &mut recorder,
-        &spec,
-        &[bmi],
-        Money::from_cents(4.0),
-        &DisqConfig::default(),
-        &PricingModel::paper(),
-        None,
-        11,
-    )
-    .unwrap();
-    let (log, _) = recorder.into_parts();
-    assert!(!log.is_empty());
-
-    let (_, fresh) = crowd(Money::from_dollars(20.0), 999); // different crowd seed
-    let mut replayer = ReplayingCrowd::new(log, fresh);
-    let out2 = preprocess(
-        &mut replayer,
-        &spec,
-        &[bmi],
-        Money::from_cents(4.0),
-        &DisqConfig::default(),
-        &PricingModel::paper(),
-        None,
-        11,
-    )
-    .unwrap();
-    assert!(
-        replayer.replayed() > 1000,
-        "replayed {}",
-        replayer.replayed()
-    );
-    assert_eq!(out1.pool_labels, out2.pool_labels);
-    assert_eq!(out1.budget, out2.budget);
 }
