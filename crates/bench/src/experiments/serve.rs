@@ -143,7 +143,7 @@ pub struct ServeStats {
     pub p99_us: u64,
     /// Completed queries per wall-clock second across all connections.
     pub qps: f64,
-    /// Crowd questions actually asked per query (after coalescing).
+    /// Crowd questions actually asked per query (after sharing).
     pub questions_per_query: f64,
     /// Plan-cache hit rate over the measured window.
     pub plan_cache_hit_rate: f64,
@@ -160,9 +160,10 @@ fn percentile_us(sorted: &[u64], q: f64) -> u64 {
 /// One load-generator row: `conns` client threads, each issuing
 /// `queries` keep-alive requests against a fresh in-process daemon.
 ///
-/// Panics unless the run made progress (QPS > 0) and, with the plan
-/// cache on, the measured window after the warm phase was all
-/// plan-cache hits.
+/// Panics unless the run made progress (QPS > 0), every question the
+/// queries requested was either asked or read off another query's batch
+/// (`requested = asked + saved`), and, with the plan cache on, the
+/// measured window after the warm phase was all plan-cache hits.
 pub fn run_load(conns: usize, queries: usize, plan_cache: bool) -> ServeStats {
     let config = ServeConfig {
         population: 300,
@@ -237,6 +238,13 @@ pub fn run_load(conns: usize, queries: usize, plan_cache: bool) -> ServeStats {
         },
     };
     assert!(serve.qps > 0.0, "load run made no progress: {serve:?}");
+    let requested = after.requested_questions - before.requested_questions;
+    let saved = after.saved_questions - before.saved_questions;
+    assert_eq!(
+        requested,
+        asked_delta + saved,
+        "requested questions must equal asked plus saved"
+    );
     if plan_cache {
         assert!(
             lookups > 0 && misses == 0,

@@ -1,485 +1,222 @@
-//! Cross-request micro-batching in front of a [`CrowdPlatform`].
+//! Cross-request answer sharing in front of a [`CrowdPlatform`].
 //!
 //! The query daemon runs many queries concurrently against one simulated
 //! crowd. When two in-flight queries ask about the *same* `(object,
 //! attribute)` cell — the common case under a skewed attribute mix —
 //! their value questions can share one worker batch instead of paying
-//! for two (T-Crowd's shared-task framing): the batcher asks
-//! `max(k_i)` questions once and every requester reads its first `k_i`
-//! answers off the shared batch.
+//! for two (T-Crowd's shared-task framing).
 //!
-//! Coalescing is bounded two ways, both tunable from the environment:
-//! a batch executes when its collection window expires
-//! ([`BATCH_WINDOW_ENV`], microseconds) or as soon as
-//! [`BATCH_MAX_ENV`] requests have joined, whichever comes first.
+//! Sharing never waits. Each query asks through its own [`QueryCrowd`]
+//! from [`CoalescingCrowd::begin_query`]. While other queries are in
+//! flight, every batch a query asks is stored in a per-cell answer table
+//! (one batch per cell, the latest), and a query that asks about a cell
+//! first reads its first `k` answers off the stored batch when it may:
 //!
-//! **Determinism contract**: when at most one query is in flight (or the
-//! window is zero), every ask passes straight through to the underlying
-//! platform under its lock — same calls, same order, same RNG stream —
-//! so a single-connection serve run is bit-identical to the in-process
-//! evaluation path (`passthrough_is_bit_identical`). Only genuinely
-//! concurrent traffic takes the coalesced path, where answer-sharing
+//! * **reading rule** — only a batch asked after the reader began, so
+//!   answers pass among queries that overlap in time and never to a
+//!   later query (each query and each batch is stamped from one begin
+//!   counter);
+//! * **short batches** — a batch holding fewer than `k` answers is asked
+//!   again, unless it ended in an error: the reader then gets the partial
+//!   answers and the same error, as a direct ask would;
+//! * **memory** — the table is emptied whenever no query is in flight,
+//!   so it holds at most one batch per cell the current queries touched.
+//!
+//! **Determinism contract**: a query that is alone in flight asks the
+//! platform straight through under its lock — same calls, same order,
+//! same RNG stream — so a single-connection serve run is bit-identical
+//! to the in-process evaluation path (`passthrough_is_bit_identical`).
+//! Only concurrent traffic reads the table, where answer-sharing
 //! (deliberately) changes which stream draws serve which request.
 
-use crate::{CrowdError, CrowdPlatform, Money};
+use crate::{CrowdError, CrowdPlatform};
 use disq_domain::{AttributeId, ObjectId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Mutex, MutexGuard, TryLockError};
 
-/// Environment variable: batch collection window in microseconds
-/// (`0` disables coalescing entirely — every ask passes through).
-pub const BATCH_WINDOW_ENV: &str = "DISQ_BATCH_WINDOW_US";
-
-/// Environment variable: execute a batch early once this many requests
-/// have joined it.
-pub const BATCH_MAX_ENV: &str = "DISQ_BATCH_MAX";
-
-/// Default collection window when [`BATCH_WINDOW_ENV`] is unset.
-pub const DEFAULT_WINDOW_US: u64 = 200;
-
-/// Default join cap when [`BATCH_MAX_ENV`] is unset.
-pub const DEFAULT_BATCH_MAX: usize = 32;
-
-/// Tuning knobs of the micro-batcher.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatcherConfig {
-    /// How long the first requester of a cell waits for sharers.
-    pub window: Duration,
-    /// Execute early once this many requests joined one batch.
-    pub max_batch: usize,
-}
-
-impl Default for BatcherConfig {
-    fn default() -> Self {
-        BatcherConfig {
-            window: Duration::from_micros(DEFAULT_WINDOW_US),
-            max_batch: DEFAULT_BATCH_MAX,
-        }
-    }
-}
-
-impl BatcherConfig {
-    /// Reads [`BATCH_WINDOW_ENV`] / [`BATCH_MAX_ENV`], falling back to
-    /// the defaults on unset or unparseable values.
-    pub fn from_env() -> Self {
-        let window_us = std::env::var(BATCH_WINDOW_ENV)
-            .ok()
-            .and_then(|s| s.trim().parse::<u64>().ok())
-            .unwrap_or(DEFAULT_WINDOW_US);
-        let max_batch = std::env::var(BATCH_MAX_ENV)
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_BATCH_MAX);
-        BatcherConfig {
-            window: Duration::from_micros(window_us),
-            max_batch,
-        }
-    }
-
-    /// A config with coalescing disabled: every ask passes through.
-    pub fn passthrough() -> Self {
-        BatcherConfig {
-            window: Duration::ZERO,
-            max_batch: DEFAULT_BATCH_MAX,
-        }
-    }
-}
-
-/// One open batch: requesters for the same `(object, attribute)` cell
-/// rendezvous here. The *leader* (first arrival) waits out the window,
-/// detaches the batch from the open map, executes it on the platform and
-/// publishes the result; *followers* wait for the result.
-struct Batch {
-    state: Mutex<BatchState>,
-    cv: Condvar,
-}
-
-struct BatchState {
-    /// Largest per-requester answer count — what the platform is asked.
-    k_max: usize,
-    /// Sum of requested counts (for the questions-saved accounting).
-    k_sum: usize,
-    /// Requests sharing this batch.
-    joiners: usize,
-    /// Trace request id of every sharer (0 = outside any request
-    /// scope); stamped onto the flush event so a coalesced batch stays
-    /// attributable to each request whose questions rode it.
-    reqs: Vec<u64>,
-    /// Set by the leader when it detaches the batch to execute it;
-    /// arrivals that see this must open a fresh batch instead.
-    closed: bool,
-    /// Set when the leader unwound before publishing a result; waiting
-    /// followers then panic too instead of blocking forever.
-    abandoned: bool,
-    /// The shared answers plus the outcome every sharer reports. On a
-    /// partial failure (budget exhaustion mid-batch) the answers
-    /// collected before the error are still here, matching the
-    /// partial-`out` semantics of a direct `ask_values`.
-    result: Option<(Vec<f64>, Result<(), CrowdError>)>,
-}
-
-/// Point-in-time statistics of a [`CoalescingCrowd`].
+/// Point-in-time statistics of a [`CoalescingCrowd`]. Every ask keeps
+/// `requested_questions = asked_questions + saved_questions`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatcherStats {
-    /// Query guards taken so far (completed or in flight).
-    pub queries: u64,
-    /// `ask_values` calls served (passthrough or coalesced).
-    pub asks: u64,
     /// Questions the callers requested (`Σ k`).
     pub requested_questions: u64,
     /// Questions actually put to the platform.
     pub asked_questions: u64,
-    /// Batches that were shared by ≥ 2 requests.
+    /// Batches that at least one query other than their asker read.
     pub coalesced_batches: u64,
-    /// Questions saved by sharing (`Σ k_i − max k_i` per shared batch).
+    /// Questions read off another query's batch instead of asked.
     pub saved_questions: u64,
 }
 
-struct Inner<P> {
+/// The latest batch asked for one cell while other queries were in
+/// flight.
+struct Batch {
+    /// Begin-counter reading when the batch was asked: only queries
+    /// stamped below it had begun by then and may read it.
+    stamp: u64,
+    /// Stamp of the asking query, which never reads its own batch.
+    asker: u64,
+    /// Trace request id of the asker (0 = outside any request scope).
+    req: u64,
+    /// The answers, and the outcome of the ask. On a partial failure
+    /// (budget exhaustion mid-batch) the answers collected before the
+    /// error are kept, matching the partial-`out` semantics of a direct
+    /// `ask_values`.
+    answers: Vec<f64>,
+    outcome: Result<(), CrowdError>,
+    /// Queries that read the batch so far.
+    readers: u32,
+    /// Questions requested by the asker and every reader so far.
+    k_sum: u32,
+}
+
+/// A thread-safe front of one [`CrowdPlatform`] whose concurrent queries
+/// share same-cell value answers. Queries ask through the
+/// [`QueryCrowd`] that [`CoalescingCrowd::begin_query`] returns.
+pub struct CoalescingCrowd<P> {
     platform: Mutex<P>,
-    open: Mutex<HashMap<(u64, u32), Arc<Batch>>>,
-    config: BatcherConfig,
+    table: Mutex<HashMap<(ObjectId, AttributeId), Batch>>,
     in_flight: AtomicUsize,
-    queries: AtomicU64,
-    asks: AtomicU64,
+    begun: AtomicU64,
     requested_questions: AtomicU64,
     asked_questions: AtomicU64,
     coalesced_batches: AtomicU64,
     saved_questions: AtomicU64,
 }
 
-/// A cloneable, thread-safe handle multiplexing one [`CrowdPlatform`]
-/// between concurrent requests, coalescing same-cell value questions.
-///
-/// Implements [`crate::ValueSource`], so it plugs straight into the
-/// online estimation kernel; the rest of the platform surface (needed
-/// only by preprocessing, which is inherently exclusive) is reachable
-/// through [`CoalescingCrowd::with_platform`].
-pub struct CoalescingCrowd<P> {
-    inner: Arc<Inner<P>>,
+/// One in-flight query's view of a [`CoalescingCrowd`]: the
+/// [`crate::ValueSource`] its online kernel asks through. The query is
+/// in flight until the handle drops.
+pub struct QueryCrowd<'a, P> {
+    crowd: &'a CoalescingCrowd<P>,
+    stamp: u64,
 }
 
-impl<P> Clone for CoalescingCrowd<P> {
-    fn clone(&self) -> Self {
-        CoalescingCrowd {
-            inner: Arc::clone(&self.inner),
+impl<P> Drop for QueryCrowd<'_, P> {
+    fn drop(&mut self) {
+        if self.crowd.in_flight.fetch_sub(1, Ordering::AcqRel) == 1 {
+            // No query left to read the table. A query that began since
+            // the decrement may lose a stored batch here, never more
+            // than a chance to share.
+            lock(&self.crowd.table).clear();
         }
     }
 }
 
-impl<P> std::fmt::Debug for CoalescingCrowd<P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CoalescingCrowd")
-            .field("config", &self.inner.config)
-            .field("in_flight", &self.in_flight())
-            .finish_non_exhaustive()
-    }
-}
-
-/// RAII marker of one in-flight query; the batcher only coalesces while
-/// at least two of these are alive (see [`CoalescingCrowd::begin_query`]).
-pub struct QueryGuard<P> {
-    inner: Arc<Inner<P>>,
-}
-
-impl<P> Drop for QueryGuard<P> {
-    fn drop(&mut self) {
-        self.inner.in_flight.fetch_sub(1, Ordering::AcqRel);
-    }
+/// Every lock here recovers from poisoning: a panicking platform call
+/// leaves the crowd as usable as an ask that returned an error.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl<P> CoalescingCrowd<P> {
-    /// Wraps `platform` with the given batching config.
-    pub fn new(platform: P, config: BatcherConfig) -> Self {
+    /// Wraps `platform`.
+    pub fn new(platform: P) -> Self {
         CoalescingCrowd {
-            inner: Arc::new(Inner {
-                platform: Mutex::new(platform),
-                open: Mutex::new(HashMap::new()),
-                config,
-                in_flight: AtomicUsize::new(0),
-                queries: AtomicU64::new(0),
-                asks: AtomicU64::new(0),
-                requested_questions: AtomicU64::new(0),
-                asked_questions: AtomicU64::new(0),
-                coalesced_batches: AtomicU64::new(0),
-                saved_questions: AtomicU64::new(0),
-            }),
+            platform: Mutex::new(platform),
+            table: Mutex::new(HashMap::new()),
+            in_flight: AtomicUsize::new(0),
+            begun: AtomicU64::new(0),
+            requested_questions: AtomicU64::new(0),
+            asked_questions: AtomicU64::new(0),
+            coalesced_batches: AtomicU64::new(0),
+            saved_questions: AtomicU64::new(0),
         }
     }
 
-    /// Marks a query as in flight for the guard's lifetime. While fewer
-    /// than two guards are alive every ask passes straight through to
-    /// the platform — that is the single-request determinism contract.
-    pub fn begin_query(&self) -> QueryGuard<P> {
-        self.inner.in_flight.fetch_add(1, Ordering::AcqRel);
-        self.inner.queries.fetch_add(1, Ordering::Relaxed);
-        QueryGuard {
-            inner: Arc::clone(&self.inner),
+    /// Starts a query: the returned handle is its value source, and the
+    /// query counts as in flight until the handle drops. While it is the
+    /// only one, every ask passes straight through to the platform —
+    /// that is the single-request determinism contract.
+    pub fn begin_query(&self) -> QueryCrowd<'_, P> {
+        self.in_flight.fetch_add(1, Ordering::AcqRel);
+        QueryCrowd {
+            crowd: self,
+            stamp: self.begun.fetch_add(1, Ordering::AcqRel),
         }
     }
 
     /// Number of queries currently in flight.
     pub fn in_flight(&self) -> usize {
-        self.inner.in_flight.load(Ordering::Acquire)
+        self.in_flight.load(Ordering::Acquire)
     }
 
-    /// Exclusive access to the wrapped platform (preprocessing, ledger
-    /// reads). Blocks until in-flight asks drain off the platform lock;
-    /// callers should not hold it across long work while queries run.
-    pub fn with_platform<R>(&self, f: impl FnOnce(&mut P) -> R) -> R {
-        let mut platform = self
-            .inner
-            .platform
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        f(&mut platform)
-    }
-
-    /// The active batching configuration.
-    pub fn config(&self) -> BatcherConfig {
-        self.inner.config
-    }
-
-    /// Snapshot of the batcher's counters.
+    /// Snapshot of the sharing counters.
     pub fn stats(&self) -> BatcherStats {
-        let i = &self.inner;
         BatcherStats {
-            queries: i.queries.load(Ordering::Relaxed),
-            asks: i.asks.load(Ordering::Relaxed),
-            requested_questions: i.requested_questions.load(Ordering::Relaxed),
-            asked_questions: i.asked_questions.load(Ordering::Relaxed),
-            coalesced_batches: i.coalesced_batches.load(Ordering::Relaxed),
-            saved_questions: i.saved_questions.load(Ordering::Relaxed),
+            requested_questions: self.requested_questions.load(Ordering::Relaxed),
+            asked_questions: self.asked_questions.load(Ordering::Relaxed),
+            coalesced_batches: self.coalesced_batches.load(Ordering::Relaxed),
+            saved_questions: self.saved_questions.load(Ordering::Relaxed),
+        }
+    }
+
+    /// The platform lock, with a `batch_wait` span around the wait only
+    /// when another query holds it.
+    fn lock_platform(&self, o: ObjectId, a: AttributeId, k: usize) -> MutexGuard<'_, P> {
+        match self.platform.try_lock() {
+            Ok(p) => p,
+            Err(TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(TryLockError::WouldBlock) => {
+                let _wait = disq_trace::span!("batch_wait", "o={} a={} k={}", o.0, a.0, k);
+                lock(&self.platform)
+            }
         }
     }
 }
 
-impl<P: CrowdPlatform> CoalescingCrowd<P> {
-    /// Money spent on the wrapped platform's ledger so far.
-    pub fn spent(&self) -> Money {
-        self.with_platform(|p| p.ledger().spent())
-    }
-
-    fn ask_direct(
+impl<P> QueryCrowd<'_, P> {
+    /// Reads this query's `k` answers for `cell` off the stored batch, if
+    /// the reading rule allows it and the batch holds enough of them (or
+    /// ended in an error). `None` means the query must ask.
+    fn read(
         &self,
-        o: ObjectId,
-        a: AttributeId,
+        cell: (ObjectId, AttributeId),
         k: usize,
         out: &mut Vec<f64>,
-    ) -> Result<(), CrowdError> {
-        self.inner
-            .asked_questions
-            .fetch_add(k as u64, Ordering::Relaxed);
-        self.with_platform(|p| p.ask_values(o, a, k, out))
-    }
-
-    /// The coalescing slow path: join or lead the open batch for the
-    /// `(o, a)` cell and split the shared result.
-    fn ask_coalesced(
-        &self,
-        o: ObjectId,
-        a: AttributeId,
-        k: usize,
-        out: &mut Vec<f64>,
-    ) -> Result<(), CrowdError> {
-        let key = (o.0 as u64, a.0 as u32);
-        loop {
-            // Join an open batch, or open one and become its leader.
-            let (batch, leader) = {
-                let mut open = self.inner.open.lock().unwrap_or_else(|e| e.into_inner());
-                match open.get(&key) {
-                    Some(batch) => (Arc::clone(batch), false),
-                    None => {
-                        let batch = Arc::new(Batch {
-                            state: Mutex::new(BatchState {
-                                k_max: k,
-                                k_sum: k,
-                                joiners: 1,
-                                reqs: vec![disq_trace::span::current_request()],
-                                closed: false,
-                                abandoned: false,
-                                result: None,
-                            }),
-                            cv: Condvar::new(),
-                        });
-                        open.insert(key, Arc::clone(&batch));
-                        (batch, true)
-                    }
-                }
-            };
-
-            if leader {
-                return self.lead(key, &batch, k, out);
-            }
-
-            // Follower: register, then wait for the shared result. A
-            // batch that closed between the map lookup and here is a
-            // lost race — retry with a fresh batch.
-            {
-                let mut st = batch.state.lock().unwrap_or_else(|e| e.into_inner());
-                if st.closed {
-                    continue;
-                }
-                st.joiners += 1;
-                st.k_sum += k;
-                st.k_max = st.k_max.max(k);
-                st.reqs.push(disq_trace::span::current_request());
-                batch.cv.notify_all(); // the leader re-checks saturation
-                let wait_span =
-                    disq_trace::span!("batch_wait", "o={} a={} k={} follow", key.0, key.1, k);
-                while st.result.is_none() {
-                    if st.abandoned {
-                        drop(st);
-                        panic!("batch leader panicked");
-                    }
-                    st = batch.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-                }
-                drop(wait_span);
-                disq_trace::span::note_coalesce_width(st.joiners as u64);
-                return split_result(&st, k, out);
-            }
+    ) -> Option<Result<(), CrowdError>> {
+        let mut table = lock(&self.crowd.table);
+        let b = table.get_mut(&cell)?;
+        let short = b.answers.len() < k;
+        if b.stamp <= self.stamp || b.asker == self.stamp || (short && b.outcome.is_ok()) {
+            return None;
         }
-    }
+        out.extend_from_slice(&b.answers[..k.min(b.answers.len())]);
+        let outcome = if short { b.outcome.clone() } else { Ok(()) };
+        b.readers += 1;
+        b.k_sum += k as u32;
+        let (k_max, k_sum, readers, asker_req) =
+            (b.answers.len() as u32, b.k_sum, b.readers, b.req);
+        drop(table);
 
-    /// Leader duty: wait out the window (or saturation), detach the
-    /// batch, execute it once on the platform, publish the result.
-    fn lead(
-        &self,
-        key: (u64, u32),
-        batch: &Arc<Batch>,
-        k: usize,
-        out: &mut Vec<f64>,
-    ) -> Result<(), CrowdError> {
-        let unpublished = AbandonOnUnwind {
-            open: &self.inner.open,
-            key,
-            batch,
-        };
-        let deadline = Instant::now() + self.inner.config.window;
-        {
-            let _wait_span =
-                disq_trace::span!("batch_wait", "o={} a={} k={} lead", key.0, key.1, k);
-            let mut st = batch.state.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if st.joiners >= self.inner.config.max_batch {
-                    break;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (next, _timeout) = batch
-                    .cv
-                    .wait_timeout(st, deadline - now)
-                    .unwrap_or_else(|e| e.into_inner());
-                st = next;
-            }
+        let crowd = self.crowd;
+        crowd.saved_questions.fetch_add(k as u64, Ordering::Relaxed);
+        disq_trace::count_n(disq_trace::Counter::CoalescedQuestionsSaved, k as u64);
+        if readers == 1 {
+            crowd.coalesced_batches.fetch_add(1, Ordering::Relaxed);
+            disq_trace::count(disq_trace::Counter::CoalescedBatches);
         }
-
-        // Detach from the open map first so latecomers open a fresh
-        // batch, then close so in-progress joiners retry cleanly.
-        self.inner
-            .open
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&key);
-        let (k_max, k_sum, joiners, reqs) = {
-            let mut st = batch.state.lock().unwrap_or_else(|e| e.into_inner());
-            st.closed = true;
-            let mut reqs = std::mem::take(&mut st.reqs);
+        // Width = queries the batch has served so far, its asker included.
+        disq_trace::span::note_coalesce_width(u64::from(readers) + 1);
+        disq_trace::emit(|| {
+            let mut reqs = vec![asker_req, disq_trace::span::current_request()];
             reqs.sort_unstable();
             reqs.dedup();
-            (st.k_max, st.k_sum, st.joiners, reqs)
-        };
-
-        self.inner
-            .asked_questions
-            .fetch_add(k_max as u64, Ordering::Relaxed);
-        if joiners > 1 {
-            let saved = (k_sum - k_max) as u64;
-            self.inner.coalesced_batches.fetch_add(1, Ordering::Relaxed);
-            self.inner
-                .saved_questions
-                .fetch_add(saved, Ordering::Relaxed);
-            disq_trace::count(disq_trace::Counter::CoalescedBatches);
-            disq_trace::count_n(disq_trace::Counter::CoalescedQuestionsSaved, saved);
-        }
-        disq_trace::span::note_coalesce_width(joiners as u64);
-
-        let mut answers = Vec::with_capacity(k_max);
-        let outcome = {
-            // The flush runs on the leader's thread (and under its
-            // request scope); the event below carries every sharer.
-            let _flush_span = disq_trace::span!(
-                "batch_flush",
-                "o={} a={} k_max={} joiners={}",
-                key.0,
-                key.1,
+            disq_trace::TraceEvent::BatchFlush {
+                object: cell.0 .0 as u64,
+                attr: cell.1 .0 as u32,
                 k_max,
-                joiners
-            );
-            self.with_platform(|p| {
-                p.ask_values(
-                    ObjectId(key.0 as usize),
-                    AttributeId(key.1 as usize),
-                    k_max,
-                    &mut answers,
-                )
-            })
-        };
-        disq_trace::emit(move || disq_trace::TraceEvent::BatchFlush {
-            object: key.0,
-            attr: key.1,
-            k_max: k_max as u32,
-            k_sum: k_sum as u32,
-            joiners: joiners as u32,
-            reqs,
+                k_sum,
+                joiners: readers,
+                reqs,
+            }
         });
-        let mut st = batch.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.result = Some((answers, outcome));
-        std::mem::forget(unpublished);
-        batch.cv.notify_all();
-        split_result(&st, k, out)
+        Some(outcome)
     }
 }
 
-/// Held by a batch leader until it publishes the result (then disarmed
-/// with `mem::forget`). If the leader unwinds first, dropping this
-/// detaches the batch and wakes its followers, which then panic too:
-/// every sharer's request fails the same way and none blocks forever.
-struct AbandonOnUnwind<'a> {
-    open: &'a Mutex<HashMap<(u64, u32), Arc<Batch>>>,
-    key: (u64, u32),
-    batch: &'a Arc<Batch>,
-}
-
-impl Drop for AbandonOnUnwind<'_> {
-    fn drop(&mut self) {
-        let mut open = self.open.lock().unwrap_or_else(|e| e.into_inner());
-        if matches!(open.get(&self.key), Some(b) if Arc::ptr_eq(b, self.batch)) {
-            open.remove(&self.key);
-        }
-        drop(open);
-        let mut st = self.batch.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.closed = true;
-        st.abandoned = true;
-        self.batch.cv.notify_all();
-    }
-}
-
-/// Copies one requester's share — its first `k` answers — out of the
-/// published batch result. On an error the partial answers still flow
-/// into `out`, matching a direct ask's partial-batch semantics.
-fn split_result(st: &BatchState, k: usize, out: &mut Vec<f64>) -> Result<(), CrowdError> {
-    let (answers, outcome) = st.result.as_ref().expect("published result");
-    out.extend_from_slice(&answers[..k.min(answers.len())]);
-    outcome.clone()
-}
-
-impl<P: CrowdPlatform> crate::ValueSource for CoalescingCrowd<P> {
+impl<P: CrowdPlatform> crate::ValueSource for QueryCrowd<'_, P> {
     fn ask_values(
         &mut self,
         o: ObjectId,
@@ -487,34 +224,61 @@ impl<P: CrowdPlatform> crate::ValueSource for CoalescingCrowd<P> {
         k: usize,
         out: &mut Vec<f64>,
     ) -> Result<(), CrowdError> {
-        self.inner.asks.fetch_add(1, Ordering::Relaxed);
-        self.inner
+        let crowd = self.crowd;
+        crowd
             .requested_questions
             .fetch_add(k as u64, Ordering::Relaxed);
         if k == 0 {
             return Ok(());
         }
-        // Passthrough: zero window disables coalescing; a lone query has
-        // nobody to share with, and paying the window would only add
-        // latency *and* break the bit-identity contract.
-        if self.inner.config.window.is_zero() || self.in_flight() <= 1 {
-            return self.ask_direct(o, a, k, out);
+        // Passthrough: a lone query has nobody to share with.
+        if crowd.in_flight() <= 1 {
+            crowd.asked_questions.fetch_add(k as u64, Ordering::Relaxed);
+            return lock(&crowd.platform).ask_values(o, a, k, out);
         }
-        self.ask_coalesced(o, a, k, out)
+        let cell = (o, a);
+        if let Some(outcome) = self.read(cell, k, out) {
+            return outcome;
+        }
+        let mut platform = crowd.lock_platform(o, a, k);
+        // Another query may have asked this cell while we waited.
+        if let Some(outcome) = self.read(cell, k, out) {
+            return outcome;
+        }
+        crowd.asked_questions.fetch_add(k as u64, Ordering::Relaxed);
+        let stamp = crowd.begun.load(Ordering::Acquire);
+        let start = out.len();
+        let outcome = platform.ask_values(o, a, k, out);
+        // Stored under the platform lock, so the next asker's re-check
+        // above always sees it.
+        lock(&crowd.table).insert(
+            cell,
+            Batch {
+                stamp,
+                asker: self.stamp,
+                req: disq_trace::span::current_request(),
+                answers: out[start..].to_vec(),
+                outcome: outcome.clone(),
+                readers: 0,
+                k_sum: k as u32,
+            },
+        );
+        outcome
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BudgetLedger, CrowdConfig, SimulatedCrowd, ValueSource};
+    use crate::{BudgetLedger, CrowdConfig, Money, SimulatedCrowd, ValueSource};
     use disq_domain::{domains::pictures, Population};
+    use disq_trace::{MemorySink, TraceEvent};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::sync::Arc as StdArc;
+    use std::sync::Arc;
 
     fn crowd(seed: u64, cap: Option<Money>) -> SimulatedCrowd {
-        let spec = StdArc::new(pictures::spec());
+        let spec = Arc::new(pictures::spec());
         let mut rng = StdRng::seed_from_u64(0);
         let pop = Population::sample(spec, 100, &mut rng).unwrap();
         SimulatedCrowd::new(pop, CrowdConfig::default(), cap, seed)
@@ -524,183 +288,128 @@ mod tests {
         pictures::spec().id_of("Bmi").unwrap()
     }
 
-    #[test]
-    fn config_from_env_defaults_are_sane() {
-        let c = BatcherConfig::default();
-        assert_eq!(c.window, Duration::from_micros(DEFAULT_WINDOW_US));
-        assert_eq!(c.max_batch, DEFAULT_BATCH_MAX);
-        assert!(BatcherConfig::passthrough().window.is_zero());
+    fn ask<S: ValueSource>(s: &mut S, o: usize, k: usize) -> Vec<f64> {
+        let mut out = Vec::new();
+        s.ask_values(ObjectId(o), bmi(), k, &mut out).unwrap();
+        out
+    }
+
+    fn stats(requested: u64, asked: u64, coalesced: u64, saved: u64) -> BatcherStats {
+        BatcherStats {
+            requested_questions: requested,
+            asked_questions: asked,
+            coalesced_batches: coalesced,
+            saved_questions: saved,
+        }
     }
 
     /// With one query in flight the wrapped platform sees exactly the
     /// calls a bare platform would — answers are bit-identical.
     #[test]
     fn passthrough_is_bit_identical() {
-        let a = bmi();
-        let coalescer = CoalescingCrowd::new(crowd(7, None), BatcherConfig::default());
-        let mut handle = coalescer.clone();
+        let coalescer = CoalescingCrowd::new(crowd(7, None));
         let mut bare = crowd(7, None);
-        let _guard = coalescer.begin_query();
+        let mut query = coalescer.begin_query();
         for i in 0..10 {
-            let o = ObjectId(i % 4);
             let k = [1, 3, 8][i % 3];
-            let mut got = Vec::new();
-            handle.ask_values(o, a, k, &mut got).unwrap();
-            let mut want = Vec::new();
-            CrowdPlatform::ask_values(&mut bare, o, a, k, &mut want).unwrap();
-            assert_eq!(got, want, "ask {i}");
+            assert_eq!(
+                ask(&mut query, i % 4, k),
+                ask(&mut bare, i % 4, k),
+                "ask {i}"
+            );
         }
-        assert_eq!(coalescer.spent(), bare.ledger().spent());
-        let stats = coalescer.stats();
-        assert_eq!(stats.coalesced_batches, 0);
-        assert_eq!(stats.requested_questions, stats.asked_questions);
+        drop(query);
+        let platform = lock(&coalescer.platform);
+        assert_eq!(platform.ledger().spent(), bare.ledger().spent());
+        let s = coalescer.stats();
+        assert_eq!((s.coalesced_batches, s.saved_questions), (0, 0));
+        assert_eq!(s.requested_questions, s.asked_questions);
     }
 
-    /// Zero-window config passes through even under concurrency.
-    #[test]
-    fn zero_window_never_coalesces() {
-        let a = bmi();
-        let coalescer = CoalescingCrowd::new(crowd(3, None), BatcherConfig::passthrough());
-        let _g1 = coalescer.begin_query();
-        let _g2 = coalescer.begin_query();
-        let mut handle = coalescer.clone();
-        let mut out = Vec::new();
-        handle.ask_values(ObjectId(0), a, 4, &mut out).unwrap();
-        assert_eq!(out.len(), 4);
-        assert_eq!(coalescer.stats().coalesced_batches, 0);
-    }
-
-    /// Concurrent same-cell requests share one platform batch: the
-    /// platform is charged max(k) questions, not Σk, every requester
-    /// gets its full answer count, and sharers see a common prefix.
+    /// An overlapping query reads the first `k` answers of a batch asked
+    /// after it began; the platform is charged only for the asker's.
     #[test]
     fn concurrent_same_cell_requests_share_a_batch() {
-        let a = bmi();
-        let config = BatcherConfig {
-            window: Duration::from_millis(200),
-            max_batch: 3,
-        };
-        let coalescer = CoalescingCrowd::new(crowd(11, None), config);
-        let guards: Vec<_> = (0..3).map(|_| coalescer.begin_query()).collect();
-        let results: Vec<Vec<f64>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = [5usize, 3, 5]
-                .iter()
-                .map(|&k| {
-                    let mut h = coalescer.clone();
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        h.ask_values(ObjectId(0), a, k, &mut out).unwrap();
-                        out
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        drop(guards);
-        assert_eq!(results[0].len(), 5);
-        assert_eq!(results[1].len(), 3);
-        assert_eq!(results[2].len(), 5);
-        // All three shared the same answers: the k=3 result is a prefix
-        // of both k=5 results, which are equal.
-        assert_eq!(results[0], results[2]);
-        assert_eq!(results[1], results[0][..3]);
-        let stats = coalescer.stats();
-        assert_eq!(stats.requested_questions, 13);
-        assert_eq!(stats.asked_questions, 5, "one shared batch of max(k)");
-        assert_eq!(stats.coalesced_batches, 1);
-        assert_eq!(stats.saved_questions, 8);
-        // The ledger agrees: only 5 numeric questions were charged.
-        assert_eq!(coalescer.with_platform(|p| p.ledger().total_questions()), 5);
+        let coalescer = CoalescingCrowd::new(crowd(11, None));
+        let mut q1 = coalescer.begin_query();
+        let mut q2 = coalescer.begin_query();
+        let mut q3 = coalescer.begin_query();
+        let asked = ask(&mut q1, 0, 5);
+        assert_eq!(ask(&mut q2, 0, 3), asked[..3]);
+        assert_eq!(ask(&mut q3, 0, 5), asked);
+        assert_eq!(coalescer.stats(), stats(13, 5, 1, 8));
+        assert_eq!(lock(&coalescer.platform).ledger().total_questions(), 5);
     }
 
-    /// Saturation executes the batch before the window expires.
+    /// A query that began after a batch was asked never reads it: it
+    /// asks again, and its own batch is the one the others read next.
     #[test]
-    fn saturated_batch_executes_early() {
-        let a = bmi();
-        let config = BatcherConfig {
-            window: Duration::from_secs(30), // would time out the test
-            max_batch: 2,
-        };
-        let coalescer = CoalescingCrowd::new(crowd(5, None), config);
-        let _g1 = coalescer.begin_query();
-        let _g2 = coalescer.begin_query();
-        let start = Instant::now();
-        std::thread::scope(|scope| {
-            for _ in 0..2 {
-                let mut h = coalescer.clone();
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    h.ask_values(ObjectId(1), a, 2, &mut out).unwrap();
-                    assert_eq!(out.len(), 2);
-                });
-            }
-        });
-        assert!(
-            start.elapsed() < Duration::from_secs(10),
-            "batch must fire on saturation, not the 30s window"
-        );
-        assert_eq!(coalescer.stats().coalesced_batches, 1);
+    fn later_query_asks_again() {
+        let coalescer = CoalescingCrowd::new(crowd(3, None));
+        let mut q1 = coalescer.begin_query();
+        let mut q2 = coalescer.begin_query();
+        let first = ask(&mut q1, 0, 4);
+        let mut q3 = coalescer.begin_query();
+        let second = ask(&mut q3, 0, 4);
+        assert_ne!(second, first, "fresh answers for the later query");
+        assert_eq!(coalescer.stats(), stats(8, 8, 0, 0));
+        assert_eq!(ask(&mut q2, 0, 4), second);
+        assert_eq!(ask(&mut q1, 1, 2).len(), 2);
+        assert_eq!(coalescer.stats(), stats(14, 10, 1, 4));
+    }
+
+    /// A reader that needs more answers than a complete batch holds asks
+    /// again.
+    #[test]
+    fn short_batch_is_asked_again() {
+        let coalescer = CoalescingCrowd::new(crowd(9, None));
+        let mut q1 = coalescer.begin_query();
+        let mut q2 = coalescer.begin_query();
+        ask(&mut q1, 0, 2);
+        assert_eq!(ask(&mut q2, 0, 3).len(), 3);
+        assert_eq!(coalescer.stats(), stats(5, 5, 0, 0));
+    }
+
+    /// A query asking a cell again gets fresh answers, never its own
+    /// stored batch.
+    #[test]
+    fn own_batch_is_never_read() {
+        let coalescer = CoalescingCrowd::new(crowd(8, None));
+        let mut q1 = coalescer.begin_query();
+        let _q2 = coalescer.begin_query();
+        let first = ask(&mut q1, 0, 3);
+        assert_ne!(ask(&mut q1, 0, 3), first);
+        assert_eq!(coalescer.stats(), stats(6, 6, 0, 0));
     }
 
     /// Different cells never share batches.
     #[test]
     fn distinct_cells_do_not_coalesce() {
-        let a = bmi();
-        let config = BatcherConfig {
-            window: Duration::from_millis(30),
-            max_batch: 8,
-        };
-        let coalescer = CoalescingCrowd::new(crowd(9, None), config);
-        let _g1 = coalescer.begin_query();
-        let _g2 = coalescer.begin_query();
-        std::thread::scope(|scope| {
-            for o in 0..2 {
-                let mut h = coalescer.clone();
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    h.ask_values(ObjectId(o), a, 3, &mut out).unwrap();
-                    assert_eq!(out.len(), 3);
-                });
-            }
-        });
-        let stats = coalescer.stats();
-        assert_eq!(stats.coalesced_batches, 0);
-        assert_eq!(stats.asked_questions, 6);
+        let coalescer = CoalescingCrowd::new(crowd(9, None));
+        let mut q1 = coalescer.begin_query();
+        let mut q2 = coalescer.begin_query();
+        ask(&mut q1, 0, 3);
+        ask(&mut q2, 1, 3);
+        assert_eq!(coalescer.stats(), stats(6, 6, 0, 0));
     }
 
-    /// Budget exhaustion mid-batch: every sharer gets the same error and
-    /// the answers collected before it, exactly like a direct ask.
+    /// Budget exhaustion mid-batch: a reader asking for more than the
+    /// partial batch holds gets those answers and the same error, exactly
+    /// like a direct ask.
     #[test]
     fn budget_error_propagates_to_all_sharers() {
-        let a = bmi();
         // Numeric questions cost 0.4¢: 1.2¢ affords 3 answers.
-        let coalescer = CoalescingCrowd::new(
-            crowd(2, Some(Money::from_cents(1.2))),
-            BatcherConfig {
-                window: Duration::from_millis(200),
-                max_batch: 2,
-            },
-        );
-        let _g1 = coalescer.begin_query();
-        let _g2 = coalescer.begin_query();
-        let outcomes: Vec<(Vec<f64>, Result<(), CrowdError>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..2)
-                .map(|_| {
-                    let mut h = coalescer.clone();
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        let res = h.ask_values(ObjectId(0), a, 5, &mut out);
-                        (out, res)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for (out, res) in &outcomes {
-            assert!(matches!(res, Err(CrowdError::BudgetExhausted { .. })));
-            assert_eq!(out.len(), 3, "partial answers survive");
-        }
-        assert_eq!(outcomes[0].0, outcomes[1].0);
+        let coalescer = CoalescingCrowd::new(crowd(2, Some(Money::from_cents(1.2))));
+        let mut q1 = coalescer.begin_query();
+        let mut q2 = coalescer.begin_query();
+        let (mut asked, mut read) = (Vec::new(), Vec::new());
+        let e1 = q1.ask_values(ObjectId(0), bmi(), 5, &mut asked);
+        let e2 = q2.ask_values(ObjectId(0), bmi(), 5, &mut read);
+        assert!(matches!(e1, Err(CrowdError::BudgetExhausted { .. })));
+        assert_eq!(e2, e1);
+        assert_eq!(asked.len(), 3, "partial answers survive");
+        assert_eq!(read, asked);
+        assert_eq!(coalescer.stats(), stats(10, 5, 1, 5));
     }
 
     /// A platform whose first value question panics; later questions
@@ -734,78 +443,87 @@ mod tests {
         }
     }
 
-    /// A leader whose platform call panics must not strand its
-    /// follower: the follower fails promptly too, both query guards
-    /// drop, and the cell then coalesces again on a fresh batch.
+    /// A panicking ask only poisons the platform lock: the other
+    /// in-flight query's ask of the same cell still succeeds, and both
+    /// queries leave the flight count.
     #[test]
-    fn panicking_leader_releases_its_followers() {
-        let a = bmi();
-        let platform = PanicsOnce {
+    fn panicking_ask_blocks_no_one() {
+        let coalescer = CoalescingCrowd::new(PanicsOnce {
             inner: crowd(4, None),
             panicked: false,
-        };
-        let config = BatcherConfig {
-            window: Duration::from_secs(30), // saturation fires the batch
-            max_batch: 2,
-        };
-        let coalescer = CoalescingCrowd::new(platform, config);
-        let both_in_flight = StdArc::new(std::sync::Barrier::new(2));
-        // One query per thread, holding its own guard, as the daemon's
-        // request threads do; the follower joins once the batch is open.
-        let ask = |leader: bool| {
-            let mut h = coalescer.clone();
-            let both_in_flight = StdArc::clone(&both_in_flight);
-            std::thread::spawn(move || {
-                let _query = h.begin_query();
-                both_in_flight.wait();
-                while !leader && h.inner.open.lock().unwrap().is_empty() {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                let mut out = Vec::new();
-                h.ask_values(ObjectId(0), a, 2, &mut out).unwrap();
-                out
-            })
-        };
-
-        let (leader, follower) = (ask(true), ask(false));
-        let start = Instant::now();
-        while !follower.is_finished() {
-            assert!(
-                start.elapsed() < Duration::from_secs(5),
-                "follower still blocked after its leader panicked"
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let payload = follower.join().expect_err("the follower fails too");
-        assert_eq!(
-            payload.downcast_ref::<&str>(),
-            Some(&"batch leader panicked")
-        );
-        assert!(
-            leader.join().is_err(),
-            "the leader's platform call panicked"
-        );
+        });
+        let mut q1 = coalescer.begin_query();
+        let mut q2 = coalescer.begin_query();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ask(&mut q1, 0, 2)));
+        assert!(unwound.is_err(), "the platform call panicked");
+        assert!(coalescer.platform.is_poisoned());
+        assert_eq!(ask(&mut q2, 0, 2).len(), 2);
+        drop((q1, q2));
         assert_eq!(coalescer.in_flight(), 0);
-
-        let (leader, follower) = (ask(true), ask(false));
-        let shared = leader.join().unwrap();
-        assert_eq!(shared.len(), 2);
-        assert_eq!(follower.join().unwrap(), shared, "one fresh shared batch");
-        assert_eq!(coalescer.stats().coalesced_batches, 2);
     }
 
-    /// The query guard counter pairs increments with decrements.
+    /// Once no query is in flight the table is empty, and the next lone
+    /// query's answers continue a bare crowd's stream.
     #[test]
-    fn query_guards_track_in_flight() {
-        let coalescer = CoalescingCrowd::new(crowd(1, None), BatcherConfig::default());
+    fn lone_query_after_sharing_continues_the_stream() {
+        let coalescer = CoalescingCrowd::new(crowd(5, None));
+        let mut bare = crowd(5, None);
+        let (mut q1, mut q2) = (coalescer.begin_query(), coalescer.begin_query());
+        assert_eq!(ask(&mut q1, 0, 3), ask(&mut bare, 0, 3));
+        ask(&mut q2, 0, 3);
+        drop((q1, q2));
+        assert!(lock(&coalescer.table).is_empty());
+        let mut q3 = coalescer.begin_query();
+        assert_eq!(ask(&mut q3, 0, 3), ask(&mut bare, 0, 3));
+        assert_eq!(ask(&mut q3, 1, 2), ask(&mut bare, 1, 2));
+    }
+
+    /// A read emits one `batch_flush` event naming the asker's and the
+    /// reader's request ids.
+    #[test]
+    fn read_emits_one_batch_flush_naming_both_requests() {
+        let sink = Arc::new(MemorySink::new());
+        disq_trace::install(sink.clone());
+        let coalescer = CoalescingCrowd::new(crowd(6, None));
+        let (mut q1, mut q2) = (coalescer.begin_query(), coalescer.begin_query());
+        {
+            let _req = disq_trace::span::enter_request(90_001);
+            ask(&mut q1, 0, 4);
+        }
+        {
+            let _req = disq_trace::span::enter_request(90_002);
+            ask(&mut q2, 0, 2);
+        }
+        disq_trace::uninstall();
+        let flushes: Vec<_> = sink
+            .events()
+            .into_iter()
+            .filter(|e| matches!(e, TraceEvent::BatchFlush { reqs, .. } if reqs.contains(&90_001)))
+            .collect();
+        assert_eq!(
+            flushes,
+            [TraceEvent::BatchFlush {
+                object: 0,
+                attr: bmi().0 as u32,
+                k_max: 4,
+                k_sum: 6,
+                joiners: 1,
+                reqs: vec![90_001, 90_002],
+            }]
+        );
+    }
+
+    /// Query handles pair each begin with one end.
+    #[test]
+    fn query_handles_track_in_flight() {
+        let coalescer = CoalescingCrowd::new(crowd(1, None));
         assert_eq!(coalescer.in_flight(), 0);
-        let g1 = coalescer.begin_query();
-        let g2 = coalescer.begin_query();
+        let q1 = coalescer.begin_query();
+        let q2 = coalescer.begin_query();
         assert_eq!(coalescer.in_flight(), 2);
-        drop(g1);
+        drop(q1);
         assert_eq!(coalescer.in_flight(), 1);
-        drop(g2);
+        drop(q2);
         assert_eq!(coalescer.in_flight(), 0);
-        assert_eq!(coalescer.stats().queries, 2);
     }
 }

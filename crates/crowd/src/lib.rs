@@ -34,10 +34,7 @@ mod worker;
 #[cfg(test)]
 mod proptests;
 
-pub use coalesce::{
-    BatcherConfig, BatcherStats, CoalescingCrowd, QueryGuard, BATCH_MAX_ENV, BATCH_WINDOW_ENV,
-    DEFAULT_BATCH_MAX, DEFAULT_WINDOW_US,
-};
+pub use coalesce::{BatcherStats, CoalescingCrowd, QueryCrowd};
 pub use error::CrowdError;
 pub use ledger::{BudgetLedger, LedgerSnapshot, SpendDelta};
 pub use money::Money;

@@ -186,12 +186,13 @@ pub trait CrowdPlatform {
 /// [`CrowdPlatform`] bundles the four §2 question types plus ledger
 /// access behind one `&mut self` receiver, which forces every consumer
 /// of the online estimation kernel to hold exclusive access to the whole
-/// platform. The query daemon's cross-request batcher cannot offer that
-/// — it multiplexes one platform between concurrent requests and cannot
-/// hand out `&BudgetLedger` borrows — so the estimation entry points
-/// bound on this trait instead. Every `CrowdPlatform` is a `ValueSource`
-/// through the blanket impl, so existing callers compile unchanged;
-/// request-scoped handles (e.g. `CoalescingCrowd`) implement only this.
+/// platform. The query daemon's cross-request answer sharing cannot
+/// offer that — it multiplexes one platform between concurrent requests
+/// and cannot hand out `&BudgetLedger` borrows — so the estimation entry
+/// points bound on this trait instead. Every `CrowdPlatform` is a
+/// `ValueSource` through the blanket impl, so existing callers compile
+/// unchanged; request-scoped handles (e.g. `QueryCrowd`) implement only
+/// this.
 pub trait ValueSource {
     /// Asks `k` workers for the value of `o.a`, appending each answer to
     /// `out`. Same contract as [`CrowdPlatform::ask_values`]: on budget

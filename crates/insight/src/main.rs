@@ -38,8 +38,9 @@ usage:
       (written by disq-serve under DISQ_SLOW_DIR when a request exceeds
       DISQ_SLOW_US or the rolling p99). Attributes the request's wall
       time to serving phases — plan lookup, plan compute (cache miss),
-      batcher wait, crowd batch flush, estimation kernel, regression —
-      and prints the heaviest-child chain from the request span down.
+      batcher wait (contended crowd lock), crowd batch flush (older
+      dumps), estimation kernel, regression — and prints the
+      heaviest-child chain from the request span down.
       Exits 1 when the dump is malformed (truncated span forest or
       unmatched ends), 3 when the file is missing or holds no request
       span.

@@ -124,9 +124,10 @@ pub struct RunReport {
     pub spam_decisions: u64,
     /// Worker answers dropped across all spam decisions.
     pub spam_answers_dropped: u64,
-    /// Cross-request `batch_flush` events (coalesced crowd batches).
+    /// Cross-request `batch_flush` events: one per read of a query's
+    /// crowd batch by another query.
     pub batch_flushes: u64,
-    /// Requests that shared a coalesced batch, summed over flushes.
+    /// The events' `joiners` (readers of the batch so far), summed.
     pub batch_joiners: u64,
     /// Labels of spans opened but not yet closed (keyed by span id);
     /// non-empty after absorbing a truncated trace.

@@ -9,7 +9,8 @@
 //!
 //! * **phase attribution**: every span's *self* time is mapped by label
 //!   to a named serving phase (plan lookup, plan compute on a cache
-//!   miss, batcher wait, crowd batch flush, estimation kernel,
+//!   miss, batcher wait on a contended crowd lock, crowd batch flush —
+//!   a span only dumps from older daemons contain — estimation kernel,
 //!   regression, serve overhead), so the buckets sum back to the
 //!   request's wall time;
 //! * **critical path**: the chain of heaviest children from the request
@@ -54,7 +55,8 @@ pub struct SlowReport {
     pub critical_path: Vec<(usize, String, u64, u64)>,
     /// Crowd questions charged inside the request span.
     pub questions: u64,
-    /// `batch_flush` events in the slice (shared crowd batches).
+    /// `batch_flush` events in the slice: reads of one query's crowd
+    /// batch by another, this request on either side.
     pub batch_flushes: u64,
     /// Spans opened but never closed in the dump.
     pub open_spans: usize,

@@ -55,7 +55,10 @@ pub enum ReadOutcome {
     Malformed(String),
 }
 
-/// Parsed head: `(method, path, content_length, close)`.
+/// Parsed head: `(method, path, content_length, close)`. A head whose
+/// body cannot be framed — `Transfer-Encoding`, or two different
+/// `Content-Length` values — is an error: its bytes would otherwise be
+/// read as the next request.
 fn parse_head(head: &str) -> Result<(String, String, usize, bool), String> {
     let mut lines = head.split("\r\n");
     let request_line = lines.next().unwrap_or_default();
@@ -66,7 +69,7 @@ fn parse_head(head: &str) -> Result<(String, String, usize, bool), String> {
     if !version.starts_with("HTTP/") {
         return Err(format!("bad HTTP version '{version}'"));
     }
-    let mut content_length = 0usize;
+    let mut content_length = None;
     let mut close = version == "HTTP/1.0";
     for line in lines {
         if line.is_empty() {
@@ -77,14 +80,20 @@ fn parse_head(head: &str) -> Result<(String, String, usize, bool), String> {
         };
         let value = value.trim();
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = value
+            let n: usize = value
                 .parse()
                 .map_err(|_| format!("bad Content-Length '{value}'"))?;
+            if content_length.is_some_and(|m| m != n) {
+                return Err("conflicting Content-Length headers".into());
+            }
+            content_length = Some(n);
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            return Err("Transfer-Encoding is not supported".into());
         } else if name.eq_ignore_ascii_case("connection") {
             close = value.eq_ignore_ascii_case("close");
         }
     }
-    Ok((method, path, content_length, close))
+    Ok((method, path, content_length.unwrap_or(0), close))
 }
 
 fn is_timeout(e: &io::Error) -> bool {
@@ -95,13 +104,14 @@ fn is_timeout(e: &io::Error) -> bool {
 }
 
 /// Reads one request. The stream's read timeout must already be set;
-/// a stall mid-request maps to [`ReadOutcome::Timeout`].
-pub fn read_request(stream: &mut TcpStream) -> ReadOutcome {
-    let mut buf: Vec<u8> = Vec::with_capacity(512);
+/// a stall mid-request maps to [`ReadOutcome::Timeout`]. `buf` is the
+/// connection's read buffer: bytes received past this request (a
+/// pipelined next request) stay in it for the next call.
+pub fn read_request(stream: &mut TcpStream, buf: &mut Vec<u8>) -> ReadOutcome {
     let mut chunk = [0u8; 1024];
     // Head: read until the blank line.
     let head_end = loop {
-        if let Some(pos) = find_head_end(&buf) {
+        if let Some(pos) = find_head_end(buf) {
             break pos;
         }
         if buf.len() > MAX_HEAD_BYTES {
@@ -138,16 +148,17 @@ pub fn read_request(stream: &mut TcpStream) -> ReadOutcome {
         return ReadOutcome::TooLarge;
     }
     // Body: whatever followed the head plus further reads.
-    let mut body = buf[head_end + 4..].to_vec();
-    while body.len() < content_length {
+    let end = head_end + 4 + content_length;
+    while buf.len() < end {
         match stream.read(&mut chunk) {
             Ok(0) => return ReadOutcome::Malformed("connection closed mid-body".into()),
-            Ok(n) => body.extend_from_slice(&chunk[..n]),
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
             Err(e) if is_timeout(&e) => return ReadOutcome::Timeout,
             Err(_) => return ReadOutcome::Closed,
         }
     }
-    body.truncate(content_length);
+    let body = buf[head_end + 4..end].to_vec();
+    buf.drain(..end);
     ReadOutcome::Request(Request {
         method,
         path,
@@ -383,6 +394,16 @@ mod tests {
         assert!(parse_head("GET / SPDY/9").is_err());
         assert!(parse_head("GET / HTTP/1.1\r\nno colon here").is_err());
         assert!(parse_head("GET / HTTP/1.1\r\nContent-Length: many").is_err());
+    }
+
+    #[test]
+    fn head_parser_rejects_unframeable_bodies() {
+        let te = "POST /query HTTP/1.1\r\nTransfer-Encoding: chunked";
+        assert!(parse_head(te).is_err());
+        let two = "POST /query HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 4";
+        assert!(parse_head(two).is_err());
+        let same = "POST /query HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 3";
+        assert_eq!(parse_head(same).unwrap().2, 3);
     }
 
     #[test]

@@ -11,19 +11,18 @@
 //!    first request's [`PreprocessOutput`]. With [`PLAN_DIR_ENV`] set,
 //!    plans persist through the versioned [`PlanStore`], so a restarted
 //!    daemon warm-starts from disk instead of recomputing.
-//! 2. **Cross-request micro-batching** — concurrent queries about the
+//! 2. **Cross-request answer sharing** — concurrent queries about the
 //!    same attribute ask the crowd about the same objects; a
-//!    [`CoalescingCrowd`] in front of the platform merges those
-//!    questions into shared batches (window/size bounded by
-//!    `DISQ_BATCH_WINDOW_US` / `DISQ_BATCH_MAX`).
+//!    [`CoalescingCrowd`] in front of the platform lets a query read
+//!    the answers another in-flight query just asked for the same cell
+//!    instead of asking again. No query waits for another to join.
 //!
-//! **Determinism contract**: with a single connection (or batching
-//! disabled) the daemon's answers are bit-identical to the in-process
-//! [`evaluate_query`] path — [`ReferenceSession`] *is* that path, and
-//! the e2e suite drives both and compares `f64::to_bits`. Plans are
-//! computed on a fresh crowd seeded purely by `(seed, attribute)`, so
-//! plan-cache state (cold, warm, disk) never perturbs the online answer
-//! stream.
+//! **Determinism contract**: with a single connection the daemon's
+//! answers are bit-identical to the in-process [`evaluate_query`] path
+//! — [`ReferenceSession`] *is* that path, and the e2e suite drives both
+//! and compares `f64::to_bits`. Plans are computed on a fresh crowd
+//! seeded purely by `(seed, attribute)`, so plan-cache state (cold,
+//! warm, disk) never perturbs the online answer stream.
 
 #![warn(missing_docs)]
 
@@ -36,7 +35,7 @@ pub use server::QueryServer;
 
 use disq_core::online::{evaluate_query, QueryResult};
 use disq_core::{preprocess, DisqConfig, PlanMeta, PlanStore, PreprocessOutput, PLAN_DIR_ENV};
-use disq_crowd::{BatcherConfig, CoalescingCrowd, CrowdConfig, Money, SimulatedCrowd};
+use disq_crowd::{CoalescingCrowd, CrowdConfig, Money, SimulatedCrowd};
 use disq_domain::{domains, DomainSpec, ObjectId, Population, Predicate, PredicateOp, Query};
 use disq_trace::gauge::GaugeSet;
 use disq_trace::Counter;
@@ -84,8 +83,6 @@ pub struct ServeConfig {
     /// Master seed: population sampling, the online crowd, and (mixed
     /// with the attribute label) each plan's preprocessing crowd.
     pub seed: u64,
-    /// Micro-batcher tuning (window 0 = passthrough).
-    pub batcher: BatcherConfig,
     /// Plan-store directory; `None` disables disk warm-start.
     pub plan_dir: Option<PathBuf>,
     /// Objects scanned when a query names no count.
@@ -120,7 +117,6 @@ impl Default for ServeConfig {
             domain: "pictures".into(),
             population: 500,
             seed: 42,
-            batcher: BatcherConfig::default(),
             plan_dir: None,
             default_objects: 40,
             read_timeout: Duration::from_millis(2000),
@@ -137,8 +133,10 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Reads `DISQ_SERVE_*`, `DISQ_BATCH_*` and `DISQ_PLAN_DIR`,
-    /// defaulting everything else.
+    /// Reads `DISQ_SERVE_DOMAIN`, `DISQ_SERVE_POP`, `DISQ_SERVE_SEED`,
+    /// `DISQ_PLAN_DIR`, `DISQ_FLIGHT_RECORDER`, `DISQ_SLOW_US`,
+    /// `DISQ_SLOW_DIR`, `DISQ_ACCESS_LOG` and `DISQ_SLO_US`, defaulting
+    /// everything else.
     pub fn from_env() -> Self {
         let mut c = ServeConfig::default();
         if let Ok(d) = std::env::var(SERVE_DOMAIN_ENV) {
@@ -152,7 +150,6 @@ impl ServeConfig {
         if let Some(s) = env_parse::<u64>(SERVE_SEED_ENV) {
             c.seed = s;
         }
-        c.batcher = BatcherConfig::from_env();
         c.plan_dir = std::env::var(PLAN_DIR_ENV)
             .ok()
             .filter(|d| !d.trim().is_empty())
@@ -339,13 +336,13 @@ pub struct ServeSnapshot {
     pub plan_misses: u64,
     /// Misses satisfied from the on-disk store.
     pub plan_disk_loads: u64,
-    /// Crowd questions actually asked (after coalescing).
+    /// Crowd questions actually asked (after sharing).
     pub asked_questions: u64,
-    /// Crowd questions requests asked for (before coalescing).
+    /// Crowd questions requests asked for (before sharing).
     pub requested_questions: u64,
-    /// Batches shared by ≥ 2 queries.
+    /// Batches that a query other than their asker read.
     pub coalesced_batches: u64,
-    /// Questions saved by sharing.
+    /// Questions read off another query's batch instead of asked.
     pub saved_questions: u64,
 }
 
@@ -405,15 +402,12 @@ impl Engine {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let population = Population::sample(Arc::clone(&spec), config.population, &mut rng)
             .map_err(|e| ServeError::Internal(format!("population sampling failed: {e}")))?;
-        let online = CoalescingCrowd::new(
-            SimulatedCrowd::new(
-                population.clone(),
-                CrowdConfig::default(),
-                None,
-                config.seed,
-            ),
-            config.batcher,
-        );
+        let online = CoalescingCrowd::new(SimulatedCrowd::new(
+            population.clone(),
+            CrowdConfig::default(),
+            None,
+            config.seed,
+        ));
         let store = config.plan_dir.as_ref().map(PlanStore::new);
         let owns_recorder = config.flight_recorder && disq_trace::recorder().is_none();
         if owns_recorder {
@@ -518,8 +512,7 @@ impl Engine {
                 .map(|(op, value)| vec![Predicate { attr, op, value }])
                 .unwrap_or_default(),
         };
-        let _guard = self.online.begin_query();
-        let mut crowd = self.online.clone();
+        let mut crowd = self.online.begin_query();
         let result = evaluate_query(&mut crowd, &plan.plan, &query, &object_ids)
             .map_err(|e| ServeError::Internal(format!("evaluation failed: {e}")))?;
         self.stats.queries.fetch_add(1, Ordering::Relaxed);
@@ -570,7 +563,7 @@ impl Engine {
         self.obs.observe(rec);
     }
 
-    /// Current counters (queries, cache, batcher).
+    /// Current counters (queries, cache, answer sharing).
     pub fn snapshot(&self) -> ServeSnapshot {
         let b = self.online.stats();
         ServeSnapshot {
@@ -600,7 +593,7 @@ impl Drop for Engine {
 /// The in-process path the daemon must match bit for bit: same plan
 /// computation (fresh `(seed, attribute)`-seeded crowd), same online
 /// crowd seed, but a bare [`SimulatedCrowd`] driven directly through
-/// [`evaluate_query`] — no coalescer, no HTTP, no JSON.
+/// [`evaluate_query`] — no answer sharing, no HTTP, no JSON.
 pub struct ReferenceSession {
     spec: Arc<DomainSpec>,
     population: Population,
@@ -610,8 +603,8 @@ pub struct ReferenceSession {
 }
 
 impl ReferenceSession {
-    /// Builds the reference session for `config` (plan dir and batcher
-    /// settings are ignored — this path has neither).
+    /// Builds the reference session for `config` (the plan dir is
+    /// ignored — this path has no plan store).
     pub fn new(config: ServeConfig) -> Result<Self, ServeError> {
         let spec = Arc::new(domain_spec(&config.domain).ok_or_else(|| {
             ServeError::BadRequest(format!("unknown domain '{}'", config.domain))

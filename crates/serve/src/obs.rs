@@ -57,7 +57,8 @@ pub struct RequestRecord<'a> {
     pub questions: u64,
     /// Where the plan came from, for `/query` requests that got one.
     pub plan: Option<PlanSource>,
-    /// Widest crowd batch this request joined (0 = never coalesced).
+    /// Queries served by the widest shared crowd batch this request
+    /// read, its asker included (0 = it read none).
     pub coalesce_width: u64,
 }
 

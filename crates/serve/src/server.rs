@@ -1,6 +1,5 @@
 //! The listener: accept thread + per-connection handler threads, with
-//! the graceful-shutdown pattern proven by `disq-trace`'s metrics
-//! server (stop flag + loopback poke + join).
+//! graceful shutdown by stop flag, loopback poke and join.
 
 use crate::http::{self, ReadOutcome, RequestMeta, Response};
 use crate::{Engine, RequestRecord};
@@ -97,20 +96,22 @@ impl Drop for QueryServer {
 }
 
 /// Serves one connection: keep-alive request loop with per-request
-/// timeout handling. A panic in a handler is caught and answered with a
-/// 500 — the accept thread and other connections never notice.
+/// timeout handling; pipelined requests are answered in order. A panic
+/// in a handler is caught and answered with a 500 — the accept thread
+/// and other connections never notice.
 fn serve_connection(engine: &Engine, mut stream: TcpStream, stop: &AtomicBool) {
     let _ = stream.set_read_timeout(Some(engine.config().read_timeout));
     let _ = stream.set_nodelay(true);
+    let mut unread = Vec::new();
     loop {
         if stop.load(Ordering::Acquire) {
             break;
         }
-        let outcome = http::read_request(&mut stream);
+        let outcome = http::read_request(&mut stream, &mut unread);
         let (resp, fatal) = match outcome {
             ReadOutcome::Request(req) => {
                 disq_trace::count(Counter::ServeRequests);
-                // Request scope: every span (and coalesced batch) this
+                // Request scope: every span (and shared-batch read) this
                 // thread opens while handling carries `request_id`, so
                 // the flight recorder can cut a per-request slice.
                 let request_id = disq_trace::span::next_request_id();

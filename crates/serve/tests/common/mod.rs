@@ -15,19 +15,18 @@ pub struct HttpResponse {
     pub close: bool,
 }
 
-/// Reads one HTTP/1.1 response off `stream`.
+/// Reads one HTTP/1.1 response off `stream`, and not a byte more: the
+/// head a byte at a time, then exactly `Content-Length` body bytes, so
+/// a pipelined next response stays on the stream.
 pub fn read_response(stream: &mut TcpStream) -> HttpResponse {
     let mut buf = Vec::new();
-    let mut chunk = [0u8; 1024];
-    let head_end = loop {
-        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos;
-        }
-        let n = stream.read(&mut chunk).expect("read response head");
+    let mut byte = [0u8; 1];
+    while !buf.ends_with(b"\r\n\r\n") {
+        let n = stream.read(&mut byte).expect("read response head");
         assert!(n > 0, "connection closed before a full response head");
-        buf.extend_from_slice(&chunk[..n]);
-    };
-    let head = std::str::from_utf8(&buf[..head_end]).expect("UTF-8 head");
+        buf.push(byte[0]);
+    }
+    let head = std::str::from_utf8(&buf[..buf.len() - 4]).expect("UTF-8 head");
     let status: u16 = head
         .split_whitespace()
         .nth(1)
@@ -46,13 +45,8 @@ pub fn read_response(stream: &mut TcpStream) -> HttpResponse {
             close = value.trim().eq_ignore_ascii_case("close");
         }
     }
-    let mut body = buf[head_end + 4..].to_vec();
-    while body.len() < content_length {
-        let n = stream.read(&mut chunk).expect("read response body");
-        assert!(n > 0, "connection closed mid-body");
-        body.extend_from_slice(&chunk[..n]);
-    }
-    body.truncate(content_length);
+    let mut body = vec![0u8; content_length];
+    stream.read_exact(&mut body).expect("read response body");
     HttpResponse {
         status,
         body: String::from_utf8(body).expect("UTF-8 body"),

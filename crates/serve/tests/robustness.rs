@@ -183,6 +183,51 @@ fn malformed_request_line_is_400() {
     assert_alive(&server);
 }
 
+/// Two requests sent in one write get two responses, in order, on a
+/// connection that stays open.
+#[test]
+fn pipelined_requests_are_answered_in_order() {
+    let server = start_server();
+    let mut stream = connect(server.local_addr());
+    let query = "{\"attribute\":\"Bmi\",\"objects\":3}";
+    let both = format!(
+        "POST /query HTTP/1.1\r\nContent-Length: {}\r\n\r\n{query}GET /healthz HTTP/1.1\r\n\r\n",
+        query.len()
+    );
+    stream.write_all(both.as_bytes()).unwrap();
+    let first = read_response(&mut stream);
+    assert_eq!(first.status, 200, "{}", first.body);
+    assert!(first.body.contains("\"rows\""), "{}", first.body);
+    let second = read_response(&mut stream);
+    assert_eq!(
+        (second.status, second.body.as_str()),
+        (200, "{\"ok\":true}")
+    );
+    assert!(!second.close);
+    assert_eq!(request(&mut stream, "GET", "/stats", "").status, 200);
+}
+
+/// A body that cannot be framed is a 400 that closes the connection,
+/// so its bytes are never read as a next request.
+#[test]
+fn unframeable_body_is_400_and_closes() {
+    let server = start_server();
+    for head in [
+        "POST /query HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+        "POST /query HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 20\r\n\r\n",
+    ] {
+        let mut stream = connect(server.local_addr());
+        stream
+            .write_all(format!("{head}{{}}GET /healthz HTTP/1.1\r\n\r\n").as_bytes())
+            .unwrap();
+        let resp = read_response(&mut stream);
+        assert_eq!(resp.status, 400, "{head:?}");
+        assert_one_line_json_error(&resp.body);
+        assert!(resp.close, "{head:?}");
+    }
+    assert_alive(&server);
+}
+
 /// Client-chosen strings must not grow `/metrics`: unknown paths count
 /// under `route="other"` and unknown attributes get no histogram.
 #[test]

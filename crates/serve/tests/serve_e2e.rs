@@ -190,30 +190,27 @@ fn restart_warm_starts_from_the_plan_store() {
 #[test]
 fn concurrent_queries_coalesce_questions() {
     // 8 parallel clients hammer the same attribute over the same
-    // objects; the micro-batcher must share at least some batches. A
-    // wide window keeps batch leaders waiting long enough for the
-    // other clients' questions to arrive even on a loaded box.
+    // objects; overlapping queries must share at least some batches.
+    // Nothing waits for a sharer, so each query scans the whole
+    // population: long enough that queries overlap even when the host
+    // hands the threads their CPUs one at a time.
     let config = ServeConfig {
         population: 60,
         seed: 7,
-        default_objects: 12,
-        batcher: disq_crowd::BatcherConfig {
-            window: Duration::from_millis(50),
-            max_batch: 8,
-        },
+        default_objects: 60,
         ..ServeConfig::default()
     };
     let engine = Arc::new(Engine::new(config).expect("engine"));
     // Warm the plan first so the parallel phase is all online work.
     let server = QueryServer::start("127.0.0.1:0", engine).expect("bind");
     let addr = server.local_addr();
-    let warm = oneshot(addr, "POST", "/query", &query_body("Bmi", None, 12));
+    let warm = oneshot(addr, "POST", "/query", &query_body("Bmi", None, 60));
     assert_eq!(warm.status, 200);
 
-    // Coalescing needs queries to actually overlap, which a fully
-    // loaded single-CPU test host can defeat by serializing the client
+    // Sharing needs queries to actually overlap, which a fully loaded
+    // single-CPU test host can defeat by serializing the client
     // threads; a barrier per round plus retries makes overlap all but
-    // certain without ever asserting on a single racy window.
+    // certain without ever asserting on a single racy round.
     let mut coalesced = 0;
     for _round in 0..20 {
         let barrier = std::sync::Barrier::new(8);
@@ -223,7 +220,7 @@ fn concurrent_queries_coalesce_questions() {
                 scope.spawn(move || {
                     let mut conn = connect(addr);
                     barrier.wait();
-                    let resp = request(&mut conn, "POST", "/query", &query_body("Bmi", None, 12));
+                    let resp = request(&mut conn, "POST", "/query", &query_body("Bmi", None, 60));
                     assert_eq!(resp.status, 200);
                 });
             }

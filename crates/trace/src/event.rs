@@ -633,23 +633,25 @@ schema! {
             /// Kernel-timer nanoseconds recorded while open.
             kernel_ns: u64,
         },
-        /// The micro-batcher flushed one coalesced `(object, attribute)`
-        /// cell to the crowd platform, answering every sharer at once. The
-        /// flush runs on the leading request's thread; `reqs` preserves the
-        /// causal link to every other request whose questions rode along.
+        /// A query read its answers for one `(object, attribute)` cell off
+        /// the crowd batch another in-flight query asked, instead of
+        /// asking the platform. Emitted on the reader's thread; `reqs`
+        /// keeps the causal link to the asking request. (Traces from the
+        /// older batch-window batcher carry one event per flushed batch,
+        /// naming every sharer.)
         BatchFlush = "batch_flush" {
-            /// Object id of the coalesced cell.
+            /// Object id of the shared cell.
             object: u64,
-            /// Attribute id of the coalesced cell.
+            /// Attribute id of the shared cell.
             attr: u32,
-            /// Questions actually asked (the max over sharers).
+            /// Answers the batch holds (the questions asked for it).
             k_max: u32,
-            /// Questions requested across all sharers.
+            /// Questions requested by the asker and every reader so far.
             k_sum: u32,
-            /// Number of requests sharing the flush.
+            /// Readers of the batch so far, this one included.
             joiners: u32,
-            /// Request ids of every participant (sorted, deduplicated;
-            /// 0 = a participant outside any request scope).
+            /// Request ids of the asker and this reader (sorted,
+            /// deduplicated; 0 = outside any request scope).
             reqs: Vec<u64>,
         },
     }

@@ -138,11 +138,11 @@ metric_table! {
         /// Plans warm-started from the on-disk plan store instead of
         /// recomputed via `preprocess`.
         PlanStoreLoads = "plan_store_loads", "Plans warm-started from the on-disk plan store";
-        /// Cross-request question batches shared by ≥ 2 concurrent queries
-        /// (the serve-path micro-batcher).
+        /// Crowd batches that a query other than their asker read (the
+        /// serve path's cross-request answer sharing).
         CoalescedBatches = "coalesced_batches", "Question batches shared by concurrent queries";
-        /// Crowd questions avoided by batch sharing
-        /// (`Σ kᵢ − max kᵢ` per coalesced batch).
+        /// Crowd questions avoided by batch sharing (the answers read off
+        /// another query's batch).
         CoalescedQuestionsSaved = "coalesced_questions_saved", "Crowd questions avoided by batch sharing";
         /// Access-log lines that failed to write (the log keeps serving;
         /// the first failure warns on stderr).

@@ -1,7 +1,7 @@
 //! The flight recorder: a bounded in-memory ring of recent trace
 //! events, kept always-on by the serve layer so that when one request
 //! turns out slow, its full causal slice — request span, plan lookup,
-//! batcher waits, coalesced flushes, estimation spans — can be dumped
+//! crowd-lock waits, shared-batch reads, estimation spans — can be dumped
 //! to JSONL *after the fact*, without having traced everything to disk.
 //!
 //! The recorder composes with the regular [`crate::TraceSink`] slot:

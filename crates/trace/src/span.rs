@@ -71,8 +71,8 @@ thread_local! {
     // The request currently being served on this thread (0 = none); set
     // by `enter_request` and stamped onto every span opened underneath.
     static REQUEST: Cell<u64> = const { Cell::new(0) };
-    // Widest batch this thread's questions were coalesced into since the
-    // last `take_coalesce_width` (0 = never coalesced).
+    // Widest shared crowd batch this thread read since the last
+    // `take_coalesce_width` (0 = none).
     static COALESCE_WIDTH: Cell<u64> = const { Cell::new(0) };
     // The span stack itself is only touched from `enter`/`Drop`, never
     // from the allocator, so a `RefCell<Vec<_>>` (with its TLS
@@ -154,14 +154,14 @@ impl Drop for RequestGuard {
     }
 }
 
-/// Records that this thread's questions rode a coalesced batch of
-/// `width` sharers; keeps the maximum until [`take_coalesce_width`].
+/// Records that this thread read a shared crowd batch that has served
+/// `width` queries; keeps the maximum until [`take_coalesce_width`].
 pub fn note_coalesce_width(width: u64) {
     COALESCE_WIDTH.with(|c| c.set(c.get().max(width)));
 }
 
-/// Returns and resets the widest coalesced batch this thread joined
-/// since the last call (0 = all questions went direct).
+/// Returns and resets the widest shared batch this thread read since
+/// the last call (0 = it read none).
 pub fn take_coalesce_width() -> u64 {
     COALESCE_WIDTH.with(|c| c.replace(0))
 }
