@@ -32,9 +32,9 @@ use rand::{RngExt, SeedableRng};
 
 /// Environment variable: artificial per-answer latency in microseconds
 /// for batched value questions (default 0 = off). CI's traced serve
-/// smoke uses it to inject a provably slow request for the flight
-/// recorder to catch; the sleep happens outside every RNG draw and
-/// ledger charge, so answer streams stay bit-identical.
+/// smoke uses it to inject a provably slow request for the slow-request
+/// dump to catch; the sleep happens outside every RNG draw and ledger
+/// charge, so answer streams stay bit-identical.
 pub const CROWD_SLEEP_ENV: &str = "DISQ_CROWD_SLEEP_US";
 
 /// Reads [`CROWD_SLEEP_ENV`] once per process.

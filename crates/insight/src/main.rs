@@ -34,7 +34,7 @@ usage:
       trace file is missing or carries no worker events.
 
   disq-insight slow <slow-dump.jsonl> [--json]
-      Critical-path analysis of one tail-latency flight-recorder dump
+      Critical-path analysis of one tail-latency dump
       (written by disq-serve under DISQ_SLOW_DIR when a request exceeds
       DISQ_SLOW_US or the rolling p99). Attributes the request's wall
       time to serving phases — plan lookup, plan compute (cache miss),
@@ -262,7 +262,7 @@ fn cmd_slow(args: &[String]) -> Result<ExitCode, String> {
         out(&report.render());
     }
     // A dump whose span forest does not close is useless for critical-
-    // path claims: signal it so CI catches recorder truncation bugs.
+    // path claims: signal it so CI catches a capture cut at its cap.
     Ok(if report.well_formed() {
         ExitCode::SUCCESS
     } else {

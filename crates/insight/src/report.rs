@@ -124,11 +124,6 @@ pub struct RunReport {
     pub spam_decisions: u64,
     /// Worker answers dropped across all spam decisions.
     pub spam_answers_dropped: u64,
-    /// Cross-request `batch_flush` events: one per read of a query's
-    /// crowd batch by another query.
-    pub batch_flushes: u64,
-    /// The events' `joiners` (readers of the batch so far), summed.
-    pub batch_joiners: u64,
     /// Labels of spans opened but not yet closed (keyed by span id);
     /// non-empty after absorbing a truncated trace.
     pub open_spans: std::collections::BTreeMap<u64, String>,
@@ -288,10 +283,7 @@ impl RunReport {
                 self.spam_decisions += 1;
                 self.spam_answers_dropped += u64::from(answers - kept);
             }
-            TraceEvent::BatchFlush { joiners, .. } => {
-                self.batch_flushes += 1;
-                self.batch_joiners += u64::from(joiners);
-            }
+            TraceEvent::BatchFlush { .. } => {}
         }
     }
 

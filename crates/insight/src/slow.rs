@@ -1,5 +1,5 @@
 //! `disq-insight slow`: critical-path analysis of one slow-request
-//! flight-recorder dump.
+//! dump.
 //!
 //! The daemon's tail-latency trigger (`DISQ_SLOW_US` / rolling p99)
 //! writes the offending request's causal trace slice as JSONL. This
@@ -55,8 +55,9 @@ pub struct SlowReport {
     pub critical_path: Vec<(usize, String, u64, u64)>,
     /// Crowd questions charged inside the request span.
     pub questions: u64,
-    /// `batch_flush` events in the slice: reads of one query's crowd
-    /// batch by another, this request on either side.
+    /// `batch_flush` events in the slice: the crowd batches this request
+    /// read off another query's asks. (Dumps from older daemons also list
+    /// other queries' reads of this request's batches.)
     pub batch_flushes: u64,
     /// Spans opened but never closed in the dump.
     pub open_spans: usize,

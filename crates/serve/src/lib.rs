@@ -57,14 +57,11 @@ pub const SERVE_SEED_ENV: &str = "DISQ_SERVE_SEED";
 /// Environment variable: listen address of the `disq-serve` binary
 /// (default `127.0.0.1:7878`).
 pub const SERVE_ADDR_ENV: &str = "DISQ_SERVE_ADDR";
-/// Environment variable: set to `0`/`off` to disable the always-on
-/// in-memory flight recorder (on by default).
-pub const RECORDER_ENV: &str = "DISQ_FLIGHT_RECORDER";
 /// Environment variable: fixed slow-request threshold in microseconds.
 /// Unset means "use a rolling per-route p99 estimate".
 pub const SLOW_US_ENV: &str = "DISQ_SLOW_US";
-/// Environment variable: directory receiving slow-request flight
-/// recorder dumps. Unset disables dumping.
+/// Environment variable: directory receiving slow-request dumps. Unset
+/// disables dumping, and with it tracing.
 pub const SLOW_DIR_ENV: &str = "DISQ_SLOW_DIR";
 /// Environment variable: path of the JSONL access log. Unset disables
 /// access logging.
@@ -96,13 +93,12 @@ pub struct ServeConfig {
     /// `false` disables plan reuse entirely: every query recomputes its
     /// plan (the cold baseline the bench measures speedup against).
     pub plan_cache: bool,
-    /// Installs the process-global in-memory flight recorder for the
-    /// engine's lifetime (on by default; ~zero cost idle).
-    pub flight_recorder: bool,
     /// Fixed slow-request threshold (µs). `None` falls back to a
     /// rolling per-route p99 estimate once enough requests were seen.
     pub slow_us: Option<u64>,
     /// Directory receiving slow-request dumps; `None` disables dumping.
+    /// While it is set the engine keeps tracing on, and the server
+    /// captures each request's spans for a possible dump.
     pub slow_dir: Option<PathBuf>,
     /// JSONL access-log path; `None` disables access logging.
     pub access_log: Option<PathBuf>,
@@ -123,7 +119,6 @@ impl Default for ServeConfig {
             b_prc: Money::from_dollars(30.0),
             b_obj: Money::from_cents(4.0),
             plan_cache: true,
-            flight_recorder: true,
             slow_us: None,
             slow_dir: None,
             access_log: None,
@@ -134,9 +129,8 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// Reads `DISQ_SERVE_DOMAIN`, `DISQ_SERVE_POP`, `DISQ_SERVE_SEED`,
-    /// `DISQ_PLAN_DIR`, `DISQ_FLIGHT_RECORDER`, `DISQ_SLOW_US`,
-    /// `DISQ_SLOW_DIR`, `DISQ_ACCESS_LOG` and `DISQ_SLO_US`, defaulting
-    /// everything else.
+    /// `DISQ_PLAN_DIR`, `DISQ_SLOW_US`, `DISQ_SLOW_DIR`,
+    /// `DISQ_ACCESS_LOG` and `DISQ_SLO_US`, defaulting everything else.
     pub fn from_env() -> Self {
         let mut c = ServeConfig::default();
         if let Ok(d) = std::env::var(SERVE_DOMAIN_ENV) {
@@ -154,10 +148,6 @@ impl ServeConfig {
             .ok()
             .filter(|d| !d.trim().is_empty())
             .map(|d| PathBuf::from(d.trim()));
-        if let Ok(v) = std::env::var(RECORDER_ENV) {
-            let v = v.trim();
-            c.flight_recorder = !(v == "0" || v.eq_ignore_ascii_case("off"));
-        }
         c.slow_us = env_parse::<u64>(SLOW_US_ENV);
         c.slow_dir = std::env::var(SLOW_DIR_ENV)
             .ok()
@@ -386,10 +376,6 @@ pub struct Engine {
     config: ServeConfig,
     stats: EngineStats,
     obs: obs::Observer,
-    /// True iff this engine installed the process-global flight
-    /// recorder (and must uninstall it on drop). An engine never
-    /// replaces a recorder someone else installed.
-    owns_recorder: bool,
 }
 
 impl Engine {
@@ -409,10 +395,6 @@ impl Engine {
             config.seed,
         ));
         let store = config.plan_dir.as_ref().map(PlanStore::new);
-        let owns_recorder = config.flight_recorder && disq_trace::recorder().is_none();
-        if owns_recorder {
-            disq_trace::install_recorder(Arc::new(disq_trace::FlightRecorder::new()));
-        }
         let obs = obs::Observer::new(&config, &spec);
         Ok(Engine {
             spec,
@@ -423,7 +405,6 @@ impl Engine {
             config,
             stats: EngineStats::default(),
             obs,
-            owns_recorder,
         })
     }
 
@@ -556,9 +537,8 @@ impl Engine {
 
     /// Records one finished request into the access log and the latency
     /// histograms and SLO state, and — when it crossed the slow
-    /// threshold — dumps its causal trace slice from the flight
-    /// recorder. Called by the server per request; tests may call it
-    /// directly.
+    /// threshold — writes its captured trace to the slow dir. Called by
+    /// the server per request; tests may call it directly.
     pub fn observe_request(&self, rec: &RequestRecord<'_>) {
         self.obs.observe(rec);
     }
@@ -575,17 +555,6 @@ impl Engine {
             requested_questions: b.requested_questions,
             coalesced_batches: b.coalesced_batches,
             saved_questions: b.saved_questions,
-        }
-    }
-}
-
-impl Drop for Engine {
-    fn drop(&mut self) {
-        // Leave the process exactly as we found it: a bench binary that
-        // ran a serve experiment must not keep tracing active for later
-        // (allocation-identical) batch experiments.
-        if self.owns_recorder {
-            disq_trace::uninstall_recorder();
         }
     }
 }
@@ -698,6 +667,23 @@ mod tests {
         let err = engine.run_query("Charisma", None, Some(5)).unwrap_err();
         assert_eq!(err.status(), 404);
         assert!(err.message().contains("Charisma"));
+    }
+
+    /// Tracing follows `slow_dir`. No other unit test in this crate sets
+    /// a slow dir or installs a sink, so `active()` here is this test's.
+    #[test]
+    fn engine_traces_only_while_it_can_dump() {
+        let engine = Engine::new(ServeConfig::default()).unwrap();
+        assert!(!disq_trace::active(), "a default engine runs untraced");
+        let dumping = Engine::new(ServeConfig {
+            slow_dir: Some(std::env::temp_dir()),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        assert!(disq_trace::active(), "an engine that dumps traces");
+        drop(dumping);
+        assert!(!disq_trace::active());
+        drop(engine);
     }
 
     #[test]

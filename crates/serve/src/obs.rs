@@ -1,7 +1,7 @@
 //! Per-request observability: the structured JSONL access log, per-route
 //! and per-attribute latency histograms with SLO gauges, and the
-//! tail-latency trigger that dumps a slow request's causal trace slice
-//! out of the process-global flight recorder.
+//! tail-latency trigger that writes out a slow request's trace, which
+//! the server captured on the request's own thread.
 //!
 //! Everything here runs once per finished request, off the estimation
 //! hot path, so a couple of short mutexed map updates are fine. The
@@ -11,7 +11,7 @@
 //! routes counts as `route="other"`, and only attributes of the served
 //! domain get a histogram. The access log keeps the raw values. The log
 //! and dump writers follow the repo's telemetry failure contract: a
-//! write failure warns on stderr exactly once per process and
+//! write failure warns on stderr exactly once per engine and
 //! increments a counter ([`Counter::AccessLogWriteErrors`] /
 //! [`Counter::SlowDumpWriteErrors`]) — serving itself never fails
 //! because a disk did.
@@ -21,12 +21,12 @@ use crate::{PlanSource, ServeConfig};
 use disq_domain::DomainSpec;
 use disq_trace::gauge::GaugeSet;
 use disq_trace::json;
-use disq_trace::Counter;
+use disq_trace::{CaptureGate, Counter, TraceEvent};
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -60,6 +60,9 @@ pub struct RequestRecord<'a> {
     /// Queries served by the widest shared crowd batch this request
     /// read, its asker included (0 = it read none).
     pub coalesce_width: u64,
+    /// The request's captured `(t_us, event)` trace, written out if the
+    /// request is slow (empty when its engine does not dump).
+    pub trace: &'a [(u64, TraceEvent)],
 }
 
 /// One route's latency/SLO accounting.
@@ -141,6 +144,9 @@ pub(crate) struct Observer {
     spec: Arc<DomainSpec>,
     slow_us: Option<u64>,
     slow_dir: Option<PathBuf>,
+    /// Held iff `slow_dir` is set, so the server's captures see events.
+    _capture_gate: Option<CaptureGate>,
+    dump_warned: AtomicBool,
     slo_us: u64,
 }
 
@@ -170,6 +176,8 @@ impl Observer {
             spec: Arc::clone(spec),
             slow_us: config.slow_us,
             slow_dir: config.slow_dir.clone(),
+            _capture_gate: config.slow_dir.as_ref().map(|_| CaptureGate::hold()),
+            dump_warned: AtomicBool::new(false),
             slo_us: config.slo_us.max(1),
         }
     }
@@ -296,23 +304,32 @@ impl Observer {
         }
     }
 
-    /// Dumps the slow request's causal slice from the flight recorder
-    /// into `DISQ_SLOW_DIR`. The recorder itself counts and warns on
-    /// write failures; a successful dump counts [`Counter::SlowDumps`].
+    /// Writes the slow request's captured trace into `DISQ_SLOW_DIR`.
     fn dump_slow(&self, rec: &RequestRecord<'_>) {
         let Some(dir) = &self.slow_dir else { return };
-        let Some(recorder) = disq_trace::recorder() else {
-            return;
-        };
-        // Best-effort: dump_request on a missing directory counts the
-        // write error itself.
+        // Best-effort: a missing directory fails the write, which counts.
         let _ = std::fs::create_dir_all(dir);
         let path = dir.join(format!(
             "slow-req{}-{}us.jsonl",
             rec.request_id, rec.latency_us
         ));
-        if recorder.dump_request(rec.request_id, &path).is_ok() {
-            disq_trace::count(Counter::SlowDumps);
+        self.write_dump(rec.trace, &path);
+    }
+
+    /// Writes one dump. A success counts [`Counter::SlowDumps`]; a
+    /// failure counts [`Counter::SlowDumpWriteErrors`] and warns once.
+    fn write_dump(&self, trace: &[(u64, TraceEvent)], path: &Path) {
+        match disq_trace::write_jsonl(trace, path) {
+            Ok(()) => disq_trace::count(Counter::SlowDumps),
+            Err(e) => {
+                disq_trace::count(Counter::SlowDumpWriteErrors);
+                if !self.dump_warned.swap(true, Ordering::Relaxed) {
+                    eprintln!(
+                        "warning: slow-request dump to {} failed, dump is missing or incomplete: {e}",
+                        path.display()
+                    );
+                }
+            }
         }
     }
 }
@@ -356,6 +373,7 @@ mod tests {
             questions: 3,
             plan: Some(PlanSource::Memory),
             coalesce_width: 0,
+            trace: &[],
         }
     }
 
@@ -446,6 +464,40 @@ mod tests {
         );
         assert!(
             obs.log_warned.load(Ordering::Relaxed),
+            "the one-shot warning latch must be set"
+        );
+    }
+
+    /// Dump write failures follow the same contract: counted on every
+    /// failure, warned once per engine, never propagated.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn dump_write_errors_are_counted_and_warn_once() {
+        if !Path::new("/dev/full").exists() {
+            return;
+        }
+        let obs = Observer::new(
+            &ServeConfig::default(),
+            &Arc::new(disq_domain::domains::pictures::spec()),
+        );
+        let trace = [(
+            1,
+            TraceEvent::SpanStart {
+                id: 1,
+                parent: None,
+                tid: 1,
+                req: 3,
+                label: "request".into(),
+                detail: String::new(),
+            },
+        )];
+        let before = disq_trace::summary().counter(Counter::SlowDumpWriteErrors);
+        obs.write_dump(&trace, Path::new("/dev/full"));
+        obs.write_dump(&trace, Path::new("/dev/full"));
+        let after = disq_trace::summary().counter(Counter::SlowDumpWriteErrors);
+        assert!(after - before >= 2, "before {before} after {after}");
+        assert!(
+            obs.dump_warned.load(Ordering::Relaxed),
             "the one-shot warning latch must be set"
         );
     }

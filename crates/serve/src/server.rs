@@ -112,16 +112,21 @@ fn serve_connection(engine: &Engine, mut stream: TcpStream, stop: &AtomicBool) {
             ReadOutcome::Request(req) => {
                 disq_trace::count(Counter::ServeRequests);
                 // Request scope: every span (and shared-batch read) this
-                // thread opens while handling carries `request_id`, so
-                // the flight recorder can cut a per-request slice.
+                // thread opens while handling carries `request_id`.
                 let request_id = disq_trace::span::next_request_id();
                 let _req_scope = disq_trace::span::enter_request(request_id);
+                // An engine that can dump a slow request keeps what this
+                // thread emits for it; the dump is that slice.
+                let capture = engine
+                    .config()
+                    .slow_dir
+                    .is_some()
+                    .then(disq_trace::Capture::start);
                 let questions_before = disq_trace::span::thread_questions();
                 let started = Instant::now();
                 let (resp, meta) = {
-                    // Closed before `observe_request` runs so the
-                    // request's SpanEnd is in the recorder when a slow
-                    // dump fires.
+                    // Closed inside the capture, so a dump holds the
+                    // request's `span_end`.
                     let span = disq_trace::span!("request", "{} {}", req.method, req.path);
                     let out =
                         std::panic::catch_unwind(AssertUnwindSafe(|| http::handle(engine, &req)))
@@ -134,6 +139,7 @@ fn serve_connection(engine: &Engine, mut stream: TcpStream, stop: &AtomicBool) {
                     drop(span);
                     out
                 };
+                let trace = capture.map(disq_trace::Capture::finish).unwrap_or_default();
                 engine.observe_request(&RequestRecord {
                     request_id,
                     route: &req.path,
@@ -144,6 +150,7 @@ fn serve_connection(engine: &Engine, mut stream: TcpStream, stop: &AtomicBool) {
                         .saturating_sub(questions_before),
                     plan: meta.plan,
                     coalesce_width: disq_trace::span::take_coalesce_width(),
+                    trace: &trace,
                 });
                 let fatal = resp.close;
                 (resp, fatal)

@@ -1,15 +1,19 @@
 //! Robustness: malformed HTTP must map to a 4xx with a one-line JSON
 //! error — never a panic, never a wedged accept thread. After every
 //! abuse the same server still answers a clean `/healthz`. Client input
-//! never becomes a metric label, and each engine's `/metrics` shows only
-//! its own requests.
+//! never becomes a metric label, each engine's `/metrics` shows only
+//! its own requests, and each engine's slow dumps hold only its own
+//! requests and survive another engine's drop.
 
 mod common;
 
 use common::{connect, oneshot, read_response, request};
 use disq_serve::{Engine, QueryServer, ServeConfig};
+use disq_trace::TraceEvent;
+use std::collections::HashSet;
 use std::io::Write;
-use std::sync::Arc;
+use std::path::Path;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 fn start_server() -> QueryServer {
@@ -296,4 +300,137 @@ fn each_engine_exposes_only_its_own_routes() {
             "B shows A's route {route}: {b_metrics}"
         );
     }
+}
+
+/// Every dump under `dir`, as `(request id from the file name, events)`.
+fn read_dumps(dir: &Path) -> Vec<(u64, Vec<TraceEvent>)> {
+    std::fs::read_dir(dir)
+        .expect("slow dir exists")
+        .map(|entry| {
+            let path = entry.expect("dir entry").path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            let req = name
+                .strip_prefix("slow-req")
+                .and_then(|rest| rest.split('-').next())
+                .and_then(|id| id.parse().ok())
+                .unwrap_or_else(|| panic!("not a dump name: {name}"));
+            let events = std::fs::read_to_string(&path)
+                .expect("dump readable")
+                .lines()
+                .map(|line| {
+                    let json = disq_trace::json::parse(line).expect("dump line is JSON");
+                    TraceEvent::from_json(&json).expect("dump line is an event")
+                })
+                .collect();
+            (req, events)
+        })
+        .collect()
+}
+
+fn dumping_config(slow_dir: &Path) -> ServeConfig {
+    ServeConfig {
+        population: 60,
+        default_objects: 8,
+        slow_us: Some(0),
+        slow_dir: Some(slow_dir.to_path_buf()),
+        ..ServeConfig::default()
+    }
+}
+
+/// Tracing for dumps is held per engine: dropping one engine that dumps
+/// leaves another engine's dumps working.
+#[test]
+fn a_second_engine_keeps_dumping_after_the_first_drops() {
+    let dir = std::env::temp_dir().join(format!("disq-serve-two-dumps-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let start = |name: &str| {
+        let engine = Engine::new(dumping_config(&dir.join(name))).expect("engine");
+        QueryServer::start("127.0.0.1:0", Arc::new(engine)).expect("bind")
+    };
+    let a = start("a");
+    let b = start("b");
+    drop(a);
+    let resp = oneshot(b.local_addr(), "POST", "/query", "{\"attribute\":\"Bmi\"}");
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    drop(b);
+    let dumps = read_dumps(&dir.join("b"));
+    assert_eq!(dumps.len(), 1, "B dumps its one request");
+    let labels: Vec<&str> = dumps[0]
+        .1
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::SpanStart { label, .. } => Some(label.as_str()),
+            _ => None,
+        })
+        .collect();
+    for want in ["request", "plan_lookup", "evaluate_query"] {
+        assert!(labels.contains(&want), "no '{want}' span in {labels:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Under concurrent queries each dump is its own request's slice: a
+/// closed span forest whose spans all carry the dump's request id, and
+/// whose shared-batch reads all name it. Whether any batch was shared is
+/// up to the scheduler, so the test does not require it.
+#[test]
+fn concurrent_dumps_hold_only_their_own_request() {
+    const CONNS: usize = 8;
+    const QUERIES: usize = 10;
+    let dir = std::env::temp_dir().join(format!(
+        "disq-serve-concurrent-dumps-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let engine = Engine::new(dumping_config(&dir)).expect("engine");
+    let server = QueryServer::start("127.0.0.1:0", Arc::new(engine)).expect("bind");
+    let addr = server.local_addr();
+    let body = "{\"attribute\":\"Bmi\"}";
+    // Plan first, so the concurrent queries overlap in the online phase.
+    assert_eq!(oneshot(addr, "POST", "/query", body).status, 200);
+    let barrier = Barrier::new(CONNS);
+    std::thread::scope(|s| {
+        for _ in 0..CONNS {
+            s.spawn(|| {
+                let mut conn = connect(addr);
+                barrier.wait();
+                for _ in 0..QUERIES {
+                    let resp = request(&mut conn, "POST", "/query", body);
+                    assert_eq!(resp.status, 200, "{}", resp.body);
+                }
+            });
+        }
+    });
+    drop(server);
+    let dumps = read_dumps(&dir);
+    assert_eq!(
+        dumps.len(),
+        1 + CONNS * QUERIES,
+        "threshold 0 dumps every request"
+    );
+    for (req, events) in &dumps {
+        let mut open = HashSet::new();
+        let mut roots = 0;
+        for event in events {
+            match event {
+                TraceEvent::SpanStart {
+                    id, req: r, label, ..
+                } => {
+                    assert_eq!(r, req, "dump {req} holds a span of request {r}");
+                    assert!(open.insert(*id));
+                    roots += usize::from(label == "request");
+                }
+                TraceEvent::SpanEnd { id, .. } => {
+                    assert!(open.remove(id), "dump {req}: end without start")
+                }
+                TraceEvent::BatchFlush { reqs, .. } => {
+                    assert!(reqs.contains(req), "dump {req} holds a read by {reqs:?}")
+                }
+                other => panic!("dump {req} holds a {} event", other.name()),
+            }
+        }
+        assert!(open.is_empty(), "dump {req} leaves spans open");
+        assert_eq!(roots, 1, "dump {req} has one request span");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

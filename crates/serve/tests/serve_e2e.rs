@@ -255,3 +255,41 @@ fn concurrent_queries_coalesce_questions() {
         "8 concurrent same-attribute clients never shared a batch across 20 rounds"
     );
 }
+
+/// The access log counts each request's crowd questions with tracing
+/// off (no slow dir, no sink).
+#[test]
+fn untraced_access_log_counts_questions() {
+    let dir = std::env::temp_dir().join(format!("disq-serve-untraced-log-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let log = dir.join("access.jsonl");
+    let config = ServeConfig {
+        access_log: Some(log.clone()),
+        ..test_config(None)
+    };
+    let server = QueryServer::start(
+        "127.0.0.1:0",
+        Arc::new(Engine::new(config).expect("engine")),
+    )
+    .expect("bind");
+    let resp = oneshot(
+        server.local_addr(),
+        "POST",
+        "/query",
+        &query_body("Bmi", None, 10),
+    );
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    drop(server);
+    let text = std::fs::read_to_string(&log).expect("access log written");
+    let line = json::parse(text.lines().next().expect("one line")).expect("JSON line");
+    assert_eq!(line.get("route").and_then(Json::as_str), Some("/query"));
+    assert!(
+        line.get("questions")
+            .and_then(Json::as_u64)
+            .expect("questions")
+            > 0,
+        "{text}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -635,10 +635,11 @@ schema! {
         },
         /// A query read its answers for one `(object, attribute)` cell off
         /// the crowd batch another in-flight query asked, instead of
-        /// asking the platform. Emitted on the reader's thread; `reqs`
-        /// keeps the causal link to the asking request. (Traces from the
-        /// older batch-window batcher carry one event per flushed batch,
-        /// naming every sharer.)
+        /// asking the platform. Emitted on the reader's thread, so the
+        /// reader's slow-request dump holds it and the asker's does not;
+        /// `reqs` keeps the causal link to the asking request. (Traces
+        /// from the older batch-window batcher carry one event per
+        /// flushed batch, naming every sharer.)
         BatchFlush = "batch_flush" {
             /// Object id of the shared cell.
             object: u64,

@@ -26,6 +26,9 @@
 //! * **[`RunSummary`]** — a snapshot/delta aggregate of counters and
 //!   timers, rendered into bench report footers and the Prometheus
 //!   exposition.
+//! * **Captures** ([`Capture`]) — one request's span and `batch_flush`
+//!   events, kept by the thread that serves it so a slow request can be
+//!   dumped after the fact (`disq-serve`'s `DISQ_SLOW_DIR`).
 //! * **Post-hoc analysis** — [`TraceReader`] streams events back out of
 //!   a JSONL file (crash-tolerant: corrupt lines are counted and
 //!   skipped), and [`prometheus_text`] renders a [`RunSummary`] in
@@ -39,26 +42,31 @@
 //!
 //! # Overhead contract
 //!
-//! | mechanism | no sink installed (default)        | sink installed            |
+//! Tracing is *active* while a sink is installed or a [`CaptureGate`] is
+//! held; everything below costs the left column otherwise.
+//!
+//! | mechanism | tracing inactive (default)         | tracing active            |
 //! |-----------|------------------------------------|---------------------------|
 //! | events    | 1 relaxed load, no construction    | construct + sink write    |
+//! | captures  | nothing kept                       | move into the thread's [`Capture`], 1 clock read |
 //! | counters  | relaxed `fetch_add` (always on)    | same                      |
 //! | timers    | 1 relaxed load, no clock read      | 2 clock reads + histogram |
 
 #![warn(missing_docs)]
 
 mod alloc;
+mod capture;
 mod event;
 pub mod expo;
 pub mod gauge;
 pub mod json;
 mod metrics;
 pub mod reader;
-mod recorder;
 mod sink;
 pub mod span;
 
 pub use alloc::{peak_alloc_bytes, watermark_start, watermark_stop, CountingAlloc};
+pub use capture::{write_jsonl, Capture};
 pub use event::{AttrAudit, CandidateScore, KindSpend, TraceEvent};
 pub use expo::prometheus_text;
 pub use metrics::{
@@ -66,7 +74,6 @@ pub use metrics::{
     HIST_BUCKETS, TIMER_COUNT,
 };
 pub use reader::{SkippedLine, TraceReader, MAX_SKIP_DETAILS};
-pub use recorder::{FlightRecorder, RECORDER_DEFAULT_CAP, RECORDER_DEFAULT_RETAIN};
 pub use sink::{JsonlSink, MemorySink, NullSink, TraceSink, MEMORY_SINK_DEFAULT_CAP};
 pub use span::{thread_alloc_bytes, thread_allocs, RequestGuard, SpanGuard};
 
@@ -74,28 +81,64 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Once, RwLock};
 use std::time::Instant;
 
-/// Fast-path gate: true iff a sink or a flight recorder is installed.
+/// Fast-path gate: true iff a sink is installed or a capture gate held.
 static ACTIVE: AtomicBool = AtomicBool::new(false);
-static SINK: RwLock<Option<Arc<dyn TraceSink>>> = RwLock::new(None);
-static RECORDER: RwLock<Option<Arc<FlightRecorder>>> = RwLock::new(None);
+static TARGETS: RwLock<Targets> = RwLock::new(Targets {
+    sink: None,
+    gates: 0,
+});
 static ENV_INIT: Once = Once::new();
+
+/// What tracing serves: the installed sink and the capture gates held.
+struct Targets {
+    sink: Option<Arc<dyn TraceSink>>,
+    gates: usize,
+}
+
+impl Targets {
+    /// Stores the fast-path gate. Callers hold `TARGETS`'s write lock, so
+    /// a sink change and a gate change cannot interleave their stores
+    /// and leave the gate stale.
+    fn publish(&self) {
+        ACTIVE.store(self.sink.is_some() || self.gates > 0, Ordering::Relaxed);
+    }
+}
 
 /// Environment variable naming the JSONL trace file.
 pub const TRACE_ENV_VAR: &str = "DISQ_TRACE";
 
-/// True iff a sink or flight recorder is installed. Instrumented code
-/// uses this to skip building expensive event payloads (and to gate
-/// kernel timers).
+/// True iff a sink is installed or a [`CaptureGate`] is held.
+/// Instrumented code uses this to skip building expensive event
+/// payloads (and to gate kernel timers).
 #[inline]
 pub fn active() -> bool {
     ACTIVE.load(Ordering::Relaxed)
 }
 
-/// Recomputes the fast-path gate from both destination slots. Called
-/// after a slot empties; installs set the gate directly.
-fn refresh_active() {
-    let on = SINK.read().unwrap().is_some() || RECORDER.read().unwrap().is_some();
-    ACTIVE.store(on, Ordering::Relaxed);
+/// Keeps tracing active while it lives, so [`Capture`]s see events with
+/// no sink installed. Gates count: dropping one leaves any other in
+/// force.
+#[must_use = "tracing stays active only while the gate lives"]
+pub struct CaptureGate {
+    _private: (),
+}
+
+impl CaptureGate {
+    /// Holds a gate until the returned value drops.
+    pub fn hold() -> CaptureGate {
+        let mut targets = TARGETS.write().unwrap();
+        targets.gates += 1;
+        targets.publish();
+        CaptureGate { _private: () }
+    }
+}
+
+impl Drop for CaptureGate {
+    fn drop(&mut self) {
+        let mut targets = TARGETS.write().unwrap_or_else(|e| e.into_inner());
+        targets.gates -= 1;
+        targets.publish();
+    }
 }
 
 /// Allocates a process-unique audit id, correlating one
@@ -111,8 +154,10 @@ pub fn next_audit_id() -> u64 {
 /// Installs `sink` as the process-global trace destination, replacing
 /// any previous sink (which is flushed and returned).
 pub fn install(sink: Arc<dyn TraceSink>) -> Option<Arc<dyn TraceSink>> {
-    let old = SINK.write().unwrap().replace(sink);
-    ACTIVE.store(true, Ordering::Relaxed);
+    let mut targets = TARGETS.write().unwrap();
+    let old = targets.sink.replace(sink);
+    targets.publish();
+    drop(targets);
     if let Some(old) = &old {
         old.flush();
     }
@@ -120,37 +165,17 @@ pub fn install(sink: Arc<dyn TraceSink>) -> Option<Arc<dyn TraceSink>> {
 }
 
 /// Removes the global sink (flushing it), returning to the free
-/// `NullSink` behaviour (tracing stays active if a flight recorder is
-/// still installed).
+/// `NullSink` behaviour (tracing stays active while a [`CaptureGate`]
+/// is held).
 pub fn uninstall() -> Option<Arc<dyn TraceSink>> {
-    let old = SINK.write().unwrap().take();
-    refresh_active();
+    let mut targets = TARGETS.write().unwrap();
+    let old = targets.sink.take();
+    targets.publish();
+    drop(targets);
     if let Some(old) = &old {
         old.flush();
     }
     old
-}
-
-/// Installs `rec` as the process-global flight recorder, replacing and
-/// returning any previous one. Events then fan out to both the sink
-/// (if any) and the recorder.
-pub fn install_recorder(rec: Arc<FlightRecorder>) -> Option<Arc<FlightRecorder>> {
-    let old = RECORDER.write().unwrap().replace(rec);
-    ACTIVE.store(true, Ordering::Relaxed);
-    old
-}
-
-/// Removes the global flight recorder, returning it (tracing stays
-/// active if a sink is still installed).
-pub fn uninstall_recorder() -> Option<Arc<FlightRecorder>> {
-    let old = RECORDER.write().unwrap().take();
-    refresh_active();
-    old
-}
-
-/// The installed flight recorder, if any.
-pub fn recorder() -> Option<Arc<FlightRecorder>> {
-    RECORDER.read().unwrap().clone()
 }
 
 /// Installs a [`JsonlSink`] at the path named by `DISQ_TRACE`, once per
@@ -162,7 +187,7 @@ pub fn init_from_env() {
         let Ok(path) = std::env::var(TRACE_ENV_VAR) else {
             return;
         };
-        if path.is_empty() || active() {
+        if path.is_empty() || TARGETS.read().unwrap().sink.is_some() {
             return;
         }
         match JsonlSink::create(&path) {
@@ -177,31 +202,29 @@ pub fn init_from_env() {
     });
 }
 
-/// Emits one event. `build` runs only when a sink is installed, so
-/// callers can assemble payloads (labels, score vectors) inside the
-/// closure at zero cost on the default path.
+/// Emits one event to the installed sink, then moves it into this
+/// thread's open [`Capture`]. `build` runs only when one of the two
+/// exists, so callers can assemble payloads (labels, score vectors)
+/// inside the closure at zero cost on the default path.
 #[inline]
 pub fn emit(build: impl FnOnce() -> TraceEvent) {
     if !active() {
         return;
     }
-    let sink = SINK.read().unwrap().clone();
-    let rec = RECORDER.read().unwrap().clone();
-    if sink.is_none() && rec.is_none() {
+    let sink = TARGETS.read().unwrap().sink.clone();
+    if sink.is_none() && !capture::capturing() {
         return;
     }
     let event = build();
-    if let Some(rec) = rec {
-        rec.record(&event);
-    }
     if let Some(sink) = sink {
         sink.emit(&event);
     }
+    capture::keep(event);
 }
 
 /// Flushes the installed sink, if any.
 pub fn flush() {
-    if let Some(sink) = SINK.read().unwrap().as_ref() {
+    if let Some(sink) = TARGETS.read().unwrap().sink.as_ref() {
         sink.flush();
     }
 }
@@ -225,8 +248,9 @@ mod tests {
     use super::*;
     use std::sync::Mutex;
 
-    /// The sink slot is process-global; tests touching it serialize.
-    static GLOBAL_SINK_LOCK: Mutex<()> = Mutex::new(());
+    /// The sink slot and the capture gates are process-global; every
+    /// test in this crate that touches them serializes on this lock.
+    pub(crate) static GLOBAL_SINK_LOCK: Mutex<()> = Mutex::new(());
 
     fn event() -> TraceEvent {
         TraceEvent::TrioSize {
@@ -276,26 +300,31 @@ mod tests {
     }
 
     #[test]
-    fn recorder_alone_activates_tracing_and_captures_events() {
+    fn capture_gate_alone_activates_tracing_and_captures_events() {
         let _guard = GLOBAL_SINK_LOCK.lock().unwrap();
         uninstall();
-        uninstall_recorder();
         assert!(!active());
-        let rec = Arc::new(FlightRecorder::new());
-        install_recorder(rec.clone());
-        assert!(active(), "recorder alone must activate tracing");
-        emit(event);
-        assert_eq!(rec.len(), 1);
-        // A sink composes: both destinations see subsequent events.
+        let gate = CaptureGate::hold();
+        assert!(active(), "a gate alone must activate tracing");
+        let capture = Capture::start();
+        let span = crate::span!("kept");
+        emit(event); // not a kind a dump keeps
+                     // A sink composes: it sees every event, the capture its kinds.
         let sink = Arc::new(MemorySink::new());
         install(sink.clone());
+        drop(span);
         emit(event);
-        assert_eq!(rec.len(), 2);
-        assert_eq!(sink.len(), 1);
         // Removing only the sink keeps tracing active.
         uninstall();
         assert!(active());
-        uninstall_recorder();
+        let kept: Vec<&str> = capture.finish().iter().map(|(_, e)| e.name()).collect();
+        assert_eq!(kept, ["span_start", "span_end"]);
+        assert_eq!(sink.len(), 2);
+        // Gates count: a second gate outlives the first.
+        let second = CaptureGate::hold();
+        drop(gate);
+        assert!(active());
+        drop(second);
         assert!(!active());
     }
 

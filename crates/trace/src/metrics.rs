@@ -6,9 +6,9 @@
 //! solve it annotates, so they stay on even when no trace sink is
 //! installed — that is what makes silent behaviours (spam-filter and
 //! solver fallbacks) visible in every run. Timers wrap
-//! the `disq-math` kernels and *are* gated on an installed sink, because
-//! two `Instant::now` calls per tiny Cholesky solve would be measurable
-//! in the greedy loop.
+//! the `disq-math` kernels and *are* gated on [`crate::active`] (a sink
+//! installed or a capture gate held), because two `Instant::now` calls
+//! per tiny Cholesky solve would be measurable in the greedy loop.
 //!
 //! [`RunSummary`] snapshots are plain data; `later.delta_since(&earlier)`
 //! scopes a summary to one experiment, mirroring the crowd ledger's
@@ -118,7 +118,8 @@ metric_table! {
         /// Trace-sink write failures (file creation or mid-run I/O errors in
         /// the JSONL sink). Non-zero means the trace on disk is incomplete.
         TraceWriteErrors = "trace_write_errors", "Trace-file writes that failed (trace is incomplete)";
-        /// Events evicted by a capped [`crate::MemorySink`] (drop-oldest).
+        /// Events evicted by a capped [`crate::MemorySink`] (drop-oldest),
+        /// or dropped past a [`crate::Capture`]'s cap.
         TraceDroppedEvents = "trace_dropped_events", "Events evicted by a capped in-memory trace sink";
         /// Bytes requested from the allocator while tracing was active
         /// (counted only when [`crate::CountingAlloc`] is the global
@@ -147,9 +148,9 @@ metric_table! {
         /// Access-log lines that failed to write (the log keeps serving;
         /// the first failure warns on stderr).
         AccessLogWriteErrors = "access_log_write_errors", "Access-log lines that failed to write";
-        /// Slow-request flight-recorder dumps that failed to write.
+        /// Slow-request dumps that failed to write.
         SlowDumpWriteErrors = "slow_dump_write_errors", "Slow-request flight-recorder dumps that failed to write";
-        /// Slow-request flight-recorder dumps written successfully.
+        /// Slow-request dumps written successfully.
         SlowDumps = "slow_dumps", "Slow-request flight-recorder dumps written";
     }
 }
@@ -235,10 +236,9 @@ const QUESTION_KINDS: usize = 5;
 #[inline]
 pub fn count_n(counter: Counter, n: u64) {
     REGISTRY.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
-    // The question kinds additionally feed open spans' per-thread
-    // attribution — gated on an installed sink so the always-on path
-    // stays one `fetch_add` (plus a branch).
-    if (counter as usize) < QUESTION_KINDS && crate::active() {
+    // The question kinds additionally feed the per-thread tally behind
+    // span attribution and the access log's per-request count.
+    if (counter as usize) < QUESTION_KINDS {
         crate::span::note_questions(n);
     }
 }

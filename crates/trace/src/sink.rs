@@ -161,9 +161,7 @@ impl TraceSink for JsonlSink {
         let line = event.to_json();
         let t_us = crate::span::epoch_micros();
         let mut out = self.out.lock().unwrap();
-        // Splice the timestamp as the first key: `line` is always a
-        // `{"event":…}` object, so skipping its `{` grafts cleanly.
-        let result = writeln!(out, "{{\"t_us\":{t_us},{}", &line[1..]).and_then(|()| out.flush());
+        let result = write_line(&mut *out, t_us, &line).and_then(|()| out.flush());
         if let Err(e) = result {
             self.note_write_error(&e);
         }
@@ -174,6 +172,13 @@ impl TraceSink for JsonlSink {
             self.note_write_error(&e);
         }
     }
+}
+
+/// Writes one JSONL line: `json` (an event's [`TraceEvent::to_json`])
+/// with the `t_us` timestamp spliced in as its first key. `json` is
+/// always a `{"event":…}` object, so skipping its `{` grafts cleanly.
+pub(crate) fn write_line(out: &mut impl Write, t_us: u64, json: &str) -> std::io::Result<()> {
+    writeln!(out, "{{\"t_us\":{t_us},{}", &json[1..])
 }
 
 #[cfg(test)]

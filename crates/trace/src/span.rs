@@ -103,9 +103,9 @@ pub fn thread_allocs() -> u64 {
     ALLOC_COUNT.with(Cell::get)
 }
 
-/// Crowd questions attributed to this thread so far (ticks only while
-/// tracing is active — see [`note_questions`]). Monotone within a
-/// thread; callers take deltas around a region of interest.
+/// Crowd questions charged on this thread so far, traced or not (see
+/// [`note_questions`]). Monotone within a thread; callers take deltas
+/// around a region of interest.
 pub fn thread_questions() -> u64 {
     QUESTIONS.with(Cell::get)
 }
@@ -181,9 +181,9 @@ pub(crate) fn record_alloc(bytes: u64) {
 }
 
 /// Called by [`crate::metrics::count_n`] for the question-kind counters
-/// so open spans can attribute crowd questions. Gated on
-/// [`crate::active`]: when no sink is installed this is not reached at
-/// all, keeping the always-on counter path at one `fetch_add`.
+/// so open spans, and the serve layer's per-request count, can attribute
+/// crowd questions. Always on: one thread-local add beside the counter's
+/// `fetch_add`.
 #[inline]
 pub(crate) fn note_questions(n: u64) {
     QUESTIONS.with(|c| c.set(c.get().wrapping_add(n)));
@@ -329,11 +329,9 @@ macro_rules! span {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::GLOBAL_SINK_LOCK;
     use crate::{MemorySink, TraceSink};
-    use std::sync::{Arc, Mutex};
-
-    /// The sink slot is process-global; tests touching it serialize.
-    static GLOBAL_SINK_LOCK: Mutex<()> = Mutex::new(());
+    use std::sync::Arc;
 
     #[allow(clippy::type_complexity)]
     fn span_pairs(events: &[TraceEvent]) -> (Vec<(u64, Option<u64>, String)>, Vec<u64>) {
