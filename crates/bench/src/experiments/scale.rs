@@ -107,8 +107,15 @@ pub fn run_sizes(sizes: &[usize]) -> String {
         let objects: Vec<ObjectId> = (0..n).map(ObjectId).collect();
         let mut scratch = EstimateScratch::new();
         let mut estimates = Vec::with_capacity(n * plan.regressions.len());
-        estimate_objects_into(&mut crowd, &plan, &objects, &mut scratch, &mut estimates)
-            .expect("uncapped crowd cannot exhaust its budget");
+        estimate_objects_into(
+            &mut crowd,
+            &plan,
+            &objects,
+            &mut scratch,
+            &mut estimates,
+            None,
+        )
+        .expect("uncapped crowd cannot exhaust its budget");
         std::hint::black_box(&estimates);
         let wall = start.elapsed().as_secs_f64();
         let peak = disq_trace::watermark_stop();

@@ -258,7 +258,7 @@ pub fn run_cell_in_world(
         .map(ObjectId)
         .collect();
     // With a trace sink active (and a preprocessing output to audit
-    // against), run the auditing estimator: same question sequence and
+    // against), the sweep also fills an audit: same question sequence and
     // arithmetic, but every batch's statistics are retained for the
     // explain/drift ledger. Untraced runs keep the zero-allocation
     // kernel — the bit-identical contract of tests/online_alloc.rs.
@@ -267,10 +267,15 @@ pub fn run_cell_in_world(
     } else {
         None
     };
-    let raw_estimates = match audit.as_mut() {
-        Some(a) => online::estimate_objects_audited(&mut online_crowd, &plan, &objects, a)?,
-        None => online::estimate_objects(&mut online_crowd, &plan, &objects)?,
-    };
+    let mut raw_estimates = Vec::new();
+    online::estimate_objects_into(
+        &mut online_crowd,
+        &plan,
+        &objects,
+        &mut online::EstimateScratch::new(),
+        &mut raw_estimates,
+        audit.as_mut(),
+    )?;
 
     // Reorder plan-target estimates into query-target order.
     let order: Vec<usize> = targets
@@ -283,7 +288,7 @@ pub fn run_cell_in_world(
         })
         .collect();
     let estimates: Vec<Vec<f64>> = raw_estimates
-        .iter()
+        .chunks(plan.regressions.len())
         .map(|row| order.iter().map(|&i| row[i]).collect())
         .collect();
     let truth: Vec<Vec<f64>> = objects

@@ -231,6 +231,7 @@ fn build_row<P: CrowdPlatform>(
     object: disq_domain::ObjectId,
 ) -> Result<Vec<f64>, DisqError> {
     let mut avgs = Vec::with_capacity(active.len());
+    let mut workers = Vec::new();
     for &a in active {
         let need = b[a] as usize;
         let mut answers: Vec<f64> = Vec::with_capacity(need);
@@ -239,8 +240,16 @@ fn build_row<P: CrowdPlatform>(
                 answers.extend(recorded.iter().take(need));
             }
         }
-        while answers.len() < need {
-            answers.push(platform.ask_value(object, pool.get(a).attr)?);
+        let missing = need - answers.len();
+        if missing > 0 {
+            workers.clear();
+            platform.ask_values_attributed(
+                object,
+                pool.get(a).attr,
+                missing,
+                &mut answers,
+                &mut workers,
+            )?;
         }
         // Aggregate exactly as the online phase will (spam filter, then
         // average) — any train/serve mismatch here biases the learned

@@ -133,12 +133,12 @@ impl StatisticsCollector {
     ) -> Result<usize, DisqError> {
         assert_eq!(paired.len(), self.n_targets(), "paired arity mismatch");
         let mut row: Vec<Option<Vec<f64>>> = Vec::with_capacity(self.examples.len());
+        let mut workers = Vec::with_capacity(k);
         for ex in &self.examples {
             if paired[ex.target_idx] {
                 let mut ans = Vec::with_capacity(k);
-                for _ in 0..k {
-                    ans.push(platform.ask_value(ex.object, attr)?);
-                }
+                workers.clear();
+                platform.ask_values_attributed(ex.object, attr, k, &mut ans, &mut workers)?;
                 row.push(Some(ans));
             } else {
                 row.push(None);
@@ -185,16 +185,13 @@ impl StatisticsCollector {
         attr: AttributeId,
         extra_k: usize,
     ) -> Result<(), DisqError> {
-        for e in 0..self.answers[pool_attr].len() {
-            if self.answers[pool_attr][e].is_some() {
-                let object = self.examples[e].object;
-                for _ in 0..extra_k {
-                    let answer = platform.ask_value(object, attr)?;
-                    self.answers[pool_attr][e]
-                        .as_mut()
-                        .expect("cell checked above")
-                        .push(answer);
-                }
+        let mut workers = Vec::with_capacity(extra_k);
+        for (ex, cell) in self.examples.iter().zip(&mut self.answers[pool_attr]) {
+            if let Some(answers) = cell {
+                // On budget exhaustion the answers asked so far stay in
+                // the cell, as one question at a time would leave them.
+                workers.clear();
+                platform.ask_values_attributed(ex.object, attr, extra_k, answers, &mut workers)?;
             }
         }
         Ok(())

@@ -20,7 +20,9 @@
 //!
 //! Entry point: [`preprocess`] (single- and multi-target; §4's pairing
 //! rule and angular-distance `S_o` estimation included), then
-//! [`online::estimate_objects`] / [`online::evaluate_query`].
+//! [`online::evaluate_query`] — or [`online::estimate_objects_into`],
+//! the allocation-free sweep behind it, for every object's estimates in
+//! plan-target order with an optional audit.
 //!
 //! Every baseline of the paper's evaluation is expressible as a
 //! [`DisqConfig`] variation; see `disq-baselines`.

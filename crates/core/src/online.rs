@@ -13,19 +13,18 @@ use disq_trace::{Counter, TraceEvent};
 
 /// Reusable working buffers for the per-object estimation kernel.
 ///
-/// One scratch serves any number of [`estimate_object_into`] calls; after
-/// the first object has grown the buffers to the plan's batch sizes, the
-/// per-object inner loop performs **zero heap allocations** — the
-/// property that makes the million-object online phase scale linearly
-/// (enforced by the facade test `warm_estimation_allocates_nothing`).
+/// One scratch serves any number of [`estimate_objects_into`] calls;
+/// after the first object has grown the buffers to the plan's batch
+/// sizes, the per-object inner loop performs **zero heap allocations** —
+/// the property that makes the million-object online phase scale
+/// linearly (enforced by the facade test `warm_estimation_allocates_nothing`).
 #[derive(Debug, Default)]
 pub struct EstimateScratch {
     answers: Vec<f64>,
     kept: Vec<f64>,
     medians: Vec<f64>,
     averages: Vec<f64>,
-    /// Worker id per raw answer — filled on the audited path only; the
-    /// unaudited kernel never touches it.
+    /// Worker id per raw answer, parallel to `answers`.
     workers: Vec<WorkerId>,
 }
 
@@ -57,11 +56,11 @@ pub struct BatchStat {
 }
 
 /// Per-plan-attribute answer-stream ledger filled by
-/// [`estimate_objects_audited`]: everything the explain/drift layer
-/// needs to attribute realized error, retained at batch granularity.
-/// All retention happens in this side structure — the estimation
-/// arithmetic is shared with the unaudited kernel, so audited runs
-/// produce bit-identical estimates.
+/// [`estimate_objects_into`] when it is given one: everything the
+/// explain/drift layer needs to attribute realized error, retained at
+/// batch granularity. All retention happens in this side structure — the
+/// questions and the arithmetic are the same with or without it, so
+/// audited runs produce bit-identical estimates.
 #[derive(Debug, Default)]
 pub struct OnlineAudit {
     /// `batches[i]` are the batches of plan attribute `i`, in object
@@ -102,97 +101,38 @@ impl OnlineAudit {
     }
 }
 
-/// Per-object estimates for every plan target: `estimates[i][t]` is the
-/// estimate of target `t` for `objects[i]`.
-pub fn estimate_objects<P: ValueSource>(
-    platform: &mut P,
-    plan: &EvaluationPlan,
-    objects: &[ObjectId],
-) -> Result<Vec<Vec<f64>>, DisqError> {
-    let _span = disq_trace::span!("estimate_objects", "objects={}", objects.len());
-    let mut scratch = EstimateScratch::new();
-    let targets = plan.regressions.len();
-    objects
-        .iter()
-        .map(|&o| {
-            let mut row = Vec::with_capacity(targets);
-            estimate_object_into(platform, plan, o, &mut scratch, &mut row)?;
-            Ok(row)
-        })
-        .collect()
-}
-
-/// Flat variant of [`estimate_objects`]: appends the estimates row-major
-/// to `out` (`out[i * plan.regressions.len() + t]` is target `t` of
-/// `objects[i]`). With a warm `scratch` and pre-reserved `out` the whole
-/// sweep allocates nothing — this is the entry point the scale benchmarks
-/// drive at n = 10⁶.
+/// The online sweep: appends the estimates of every plan target for each
+/// of `objects` to `out`, row-major (`out[i * plan.regressions.len() + t]`
+/// is target `t` of `objects[i]`).
+///
+/// With a warm `scratch` and pre-reserved `out` the whole sweep allocates
+/// nothing — this is the entry point the scale benchmarks drive at
+/// n = 10⁶. Given an `audit`, every answer batch's statistics and worker
+/// tallies are also retained there for post-hoc error attribution; that
+/// retention allocates per batch by design, so callers gate it on tracing
+/// being active. The questions asked and the estimates are the same
+/// either way.
 pub fn estimate_objects_into<P: ValueSource>(
     platform: &mut P,
     plan: &EvaluationPlan,
     objects: &[ObjectId],
     scratch: &mut EstimateScratch,
     out: &mut Vec<f64>,
+    mut audit: Option<&mut OnlineAudit>,
 ) -> Result<(), DisqError> {
     let _span = disq_trace::span!("estimate_objects", "objects={}", objects.len());
     out.reserve(objects.len() * plan.regressions.len());
     for &o in objects {
-        estimate_object_into(platform, plan, o, scratch, out)?;
+        estimate_object_into(platform, plan, o, scratch, out, audit.as_deref_mut())?;
     }
     Ok(())
 }
 
-/// Auditing variant of [`estimate_objects`]: identical question
-/// sequence and arithmetic (estimates are bit-identical), but every
-/// answer batch's statistics are retained in `audit` for post-hoc error
-/// attribution. This path allocates per batch by design — callers gate
-/// it on tracing being active; the unaudited kernels keep the
-/// zero-allocation contract.
-pub fn estimate_objects_audited<P: ValueSource>(
-    platform: &mut P,
-    plan: &EvaluationPlan,
-    objects: &[ObjectId],
-    audit: &mut OnlineAudit,
-) -> Result<Vec<Vec<f64>>, DisqError> {
-    let _span = disq_trace::span!("estimate_objects", "objects={}", objects.len());
-    let mut scratch = EstimateScratch::new();
-    let targets = plan.regressions.len();
-    objects
-        .iter()
-        .map(|&o| {
-            let mut row = Vec::with_capacity(targets);
-            estimate_object_impl(platform, plan, o, &mut scratch, &mut row, Some(audit))?;
-            Ok(row)
-        })
-        .collect()
-}
-
-/// Estimates all plan targets for one object.
-pub fn estimate_object<P: ValueSource>(
-    platform: &mut P,
-    plan: &EvaluationPlan,
-    object: ObjectId,
-) -> Result<Vec<f64>, DisqError> {
-    let mut scratch = EstimateScratch::new();
-    let mut out = Vec::with_capacity(plan.regressions.len());
-    estimate_object_into(platform, plan, object, &mut scratch, &mut out)?;
-    Ok(out)
-}
-
 /// Estimation kernel: appends `plan.regressions.len()` estimates for
 /// `object` to `out`, reusing `scratch` across calls. Allocation-free
-/// once the scratch buffers are warm and `out` has capacity.
-pub fn estimate_object_into<P: ValueSource>(
-    platform: &mut P,
-    plan: &EvaluationPlan,
-    object: ObjectId,
-    scratch: &mut EstimateScratch,
-    out: &mut Vec<f64>,
-) -> Result<(), DisqError> {
-    estimate_object_impl(platform, plan, object, scratch, out, None)
-}
-
-fn estimate_object_impl<P: ValueSource>(
+/// once the scratch buffers are warm and `out` has capacity, unless
+/// `audit` retains the batches.
+fn estimate_object_into<P: ValueSource>(
     platform: &mut P,
     plan: &EvaluationPlan,
     object: ObjectId,
@@ -204,22 +144,14 @@ fn estimate_object_impl<P: ValueSource>(
     scratch.averages.clear();
     for (i, p) in plan.attributes.iter().enumerate() {
         scratch.answers.clear();
-        if audit.is_some() {
-            // Audited path: ask through the attributed API so every
-            // answer carries its worker. Attributed and plain asks are
-            // the same call on every platform (the id rides a separate
-            // RNG stream), so estimates stay bit-identical.
-            scratch.workers.clear();
-            platform.ask_values_attributed(
-                object,
-                p.attr,
-                p.questions as usize,
-                &mut scratch.answers,
-                &mut scratch.workers,
-            )?;
-        } else {
-            platform.ask_values(object, p.attr, p.questions as usize, &mut scratch.answers)?;
-        }
+        scratch.workers.clear();
+        platform.ask_values_attributed(
+            object,
+            p.attr,
+            p.questions as usize,
+            &mut scratch.answers,
+            &mut scratch.workers,
+        )?;
         let stats = filter_spam_into(&scratch.answers, &mut scratch.medians, &mut scratch.kept);
         let dropped = scratch.answers.len() - scratch.kept.len();
         if dropped > 0 {
@@ -347,7 +279,7 @@ pub fn evaluate_query<P: ValueSource>(
     let mut estimates = Vec::with_capacity(plan.regressions.len());
     for &o in objects {
         estimates.clear();
-        estimate_object_into(platform, plan, o, &mut scratch, &mut estimates)?;
+        estimate_object_into(platform, plan, o, &mut scratch, &mut estimates, None)?;
         let passes = query
             .predicates
             .iter()
@@ -403,6 +335,21 @@ mod tests {
         }
     }
 
+    /// One sweep over `objects` with a fresh scratch, unaudited.
+    fn sweep(c: &mut SimulatedCrowd, plan: &EvaluationPlan, objects: &[ObjectId]) -> Vec<f64> {
+        let mut out = Vec::new();
+        estimate_objects_into(
+            c,
+            plan,
+            objects,
+            &mut EstimateScratch::new(),
+            &mut out,
+            None,
+        )
+        .unwrap();
+        out
+    }
+
     #[test]
     fn estimates_track_truth() {
         let mut c = crowd();
@@ -410,13 +357,13 @@ mod tests {
         let plan = direct_bmi_plan(&spec);
         let bmi = spec.id_of("Bmi").unwrap();
         let objects: Vec<ObjectId> = (0..50).map(ObjectId).collect();
-        let est = estimate_objects(&mut c, &plan, &objects).unwrap();
+        let est = sweep(&mut c, &plan, &objects);
         // With 8 answers of sd √30, the estimate's sd ≈ 1.94; check the
         // average absolute error is in that ballpark.
         let mae: f64 = objects
             .iter()
             .zip(&est)
-            .map(|(&o, e)| (e[0] - c.population().value(o, bmi)).abs())
+            .map(|(&o, e)| (e - c.population().value(o, bmi)).abs())
             .sum::<f64>()
             / 50.0;
         assert!(mae < 4.0, "mae {mae}");
@@ -429,7 +376,7 @@ mod tests {
         let spec = Arc::new(pictures::spec());
         let plan = direct_bmi_plan(&spec);
         let before = c.ledger().spent();
-        estimate_object(&mut c, &plan, ObjectId(0)).unwrap();
+        sweep(&mut c, &plan, &[ObjectId(0)]);
         let cost = c.ledger().spent() - before;
         assert_eq!(cost, plan.cost_per_object(&PricingModel::paper()));
     }
@@ -474,36 +421,51 @@ mod tests {
 
     #[test]
     fn scratch_reuse_matches_fresh_per_object_calls() {
-        // One warm scratch across many objects must produce the same
-        // estimates as a fresh scratch per object (identically-seeded
+        // One warm sweep across many objects must produce the same
+        // estimates as a fresh sweep per object (identically-seeded
         // crowds): buffer reuse is invisible.
         let spec = Arc::new(pictures::spec());
         let plan = direct_bmi_plan(&spec);
         let objects: Vec<ObjectId> = (0..30).map(ObjectId).collect();
-        let mut warm_crowd = crowd();
+        let warm = sweep(&mut crowd(), &plan, &objects);
         let mut fresh_crowd = crowd();
-        let mut scratch = EstimateScratch::new();
-        for &o in &objects {
-            let mut warm = Vec::new();
-            estimate_object_into(&mut warm_crowd, &plan, o, &mut scratch, &mut warm).unwrap();
-            let fresh = estimate_object(&mut fresh_crowd, &plan, o).unwrap();
-            assert_eq!(warm, fresh, "object {}", o.0);
-        }
+        let fresh: Vec<f64> = objects
+            .iter()
+            .flat_map(|&o| sweep(&mut fresh_crowd, &plan, &[o]))
+            .collect();
+        assert_eq!(warm, fresh);
     }
 
     #[test]
-    fn flat_estimates_match_nested() {
+    fn select_only_query_returns_the_sweep_in_query_order() {
+        // Two targets, each estimated from its own answers: a query
+        // selecting them in reverse plan order gets every object, in
+        // object order, with the sweep's estimates swapped.
         let spec = Arc::new(pictures::spec());
-        let plan = direct_bmi_plan(&spec);
+        let mut plan = direct_bmi_plan(&spec);
+        let age = spec.id_of("Age").unwrap();
+        plan.attributes.push(PlannedAttribute {
+            attr: age,
+            label: "Age".into(),
+            kind: AttributeKind::Numeric,
+            questions: 3,
+        });
+        plan.regressions[0].coefficients.push(0.0);
+        plan.regressions.push(TargetRegression {
+            target: age,
+            label: "Age".into(),
+            intercept: 0.0,
+            coefficients: vec![0.0, 1.0],
+            training_mse: 0.0,
+        });
         let objects: Vec<ObjectId> = (0..20).map(ObjectId).collect();
-        let nested = estimate_objects(&mut crowd(), &plan, &objects).unwrap();
-        let mut scratch = EstimateScratch::new();
-        let mut flat = Vec::new();
-        estimate_objects_into(&mut crowd(), &plan, &objects, &mut scratch, &mut flat).unwrap();
-        let stride = plan.regressions.len();
-        assert_eq!(flat.len(), objects.len() * stride);
-        for (i, row) in nested.iter().enumerate() {
-            assert_eq!(&flat[i * stride..(i + 1) * stride], &row[..]);
+        let flat = sweep(&mut crowd(), &plan, &objects);
+        let q = Query::parse("select age, bmi", spec.registry()).unwrap();
+        let result = evaluate_query(&mut crowd(), &plan, &q, &objects).unwrap();
+        assert_eq!(result.rows.len(), objects.len());
+        for (i, row) in result.rows.iter().enumerate() {
+            assert_eq!(row.object, objects[i]);
+            assert_eq!(row.values, [flat[2 * i + 1], flat[2 * i]]);
         }
     }
 
@@ -512,9 +474,19 @@ mod tests {
         let spec = Arc::new(pictures::spec());
         let plan = direct_bmi_plan(&spec);
         let objects: Vec<ObjectId> = (0..25).map(ObjectId).collect();
-        let plain = estimate_objects(&mut crowd(), &plan, &objects).unwrap();
+        let plain = sweep(&mut crowd(), &plan, &objects);
         let mut audit = OnlineAudit::for_plan(&plan, objects.len());
-        let audited = estimate_objects_audited(&mut crowd(), &plan, &objects, &mut audit).unwrap();
+        let mut audited = Vec::new();
+        let mut scratch = EstimateScratch::new();
+        estimate_objects_into(
+            &mut crowd(),
+            &plan,
+            &objects,
+            &mut scratch,
+            &mut audited,
+            Some(&mut audit),
+        )
+        .unwrap();
         // Same seeds, same question sequence: estimates must be
         // bit-identical, not merely close.
         assert_eq!(plain, audited);
@@ -530,8 +502,8 @@ mod tests {
         }
         // The recorded means are exactly what the regressions consumed:
         // for this identity plan the estimate IS the batch mean.
-        for (b, row) in batches.iter().zip(&audited) {
-            assert_eq!(b.mean, row[0]);
+        for (b, &estimate) in batches.iter().zip(&audited) {
+            assert_eq!(b.mean, estimate);
         }
         // Worker provenance: every raw answer was attributed to a real
         // member of the (default 16-worker) pool, and residual tallies

@@ -22,18 +22,44 @@
 //! * **memory** — the table is emptied whenever no query is in flight,
 //!   so it holds at most one batch per cell the current queries touched.
 //!
+//! A stored batch keeps the worker id of every answer, so a reader gets
+//! the ids of the answers it reads, parallel to them.
+//!
 //! **Determinism contract**: a query that is alone in flight asks the
 //! platform straight through under its lock — same calls, same order,
 //! same RNG stream — so a single-connection serve run is bit-identical
 //! to the in-process evaluation path (`passthrough_is_bit_identical`).
 //! Only concurrent traffic reads the table, where answer-sharing
 //! (deliberately) changes which stream draws serve which request.
+//!
+//! **Injected latency**: with [`CROWD_SLEEP_ENV`] set, a query sleeps
+//! for every answer it asked the platform for, after it releases the
+//! platform lock, so a slow crowd slows each query without serializing
+//! concurrent ones. Reading a stored batch does not sleep.
 
-use crate::{CrowdError, CrowdPlatform};
+use crate::{CrowdError, CrowdPlatform, WorkerId};
 use disq_domain::{AttributeId, ObjectId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, TryLockError};
+
+/// Environment variable: artificial per-answer crowd latency in
+/// microseconds (default 0 = off). CI's traced serve smoke uses it to
+/// inject a provably slow request for the slow-request dump to catch;
+/// the sleep happens outside every RNG draw and ledger charge, so answer
+/// streams stay bit-identical.
+pub const CROWD_SLEEP_ENV: &str = "DISQ_CROWD_SLEEP_US";
+
+/// Reads [`CROWD_SLEEP_ENV`] once per process.
+fn injected_sleep_us() -> u64 {
+    static SLEEP_US: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
+    *SLEEP_US.get_or_init(|| {
+        std::env::var(CROWD_SLEEP_ENV)
+            .ok()
+            .and_then(|s| s.trim().parse().ok())
+            .unwrap_or(0)
+    })
+}
 
 /// Point-in-time statistics of a [`CoalescingCrowd`]. Every ask keeps
 /// `requested_questions = asked_questions + saved_questions`.
@@ -59,11 +85,11 @@ struct Batch {
     asker: u64,
     /// Trace request id of the asker (0 = outside any request scope).
     req: u64,
-    /// The answers, and the outcome of the ask. On a partial failure
-    /// (budget exhaustion mid-batch) the answers collected before the
-    /// error are kept, matching the partial-`out` semantics of a direct
-    /// `ask_values`.
-    answers: Vec<f64>,
+    /// The answers, each with its worker, and the outcome of the ask. On
+    /// a partial failure (budget exhaustion mid-batch) the answers
+    /// collected before the error are kept, matching the partial-`out`
+    /// semantics of a direct ask.
+    answers: Vec<(f64, WorkerId)>,
     outcome: Result<(), CrowdError>,
     /// Queries that read the batch so far.
     readers: u32,
@@ -86,8 +112,10 @@ pub struct CoalescingCrowd<P> {
 }
 
 /// One in-flight query's view of a [`CoalescingCrowd`]: the
-/// [`crate::ValueSource`] its online kernel asks through. The query is
-/// in flight until the handle drops.
+/// [`crate::ValueSource`] its online kernel asks through. Every answer
+/// comes with its worker id — the platform's on a direct ask, the
+/// asker's on a read of a stored batch. The query is in flight until the
+/// handle drops.
 pub struct QueryCrowd<'a, P> {
     crowd: &'a CoalescingCrowd<P>,
     stamp: u64,
@@ -167,14 +195,16 @@ impl<P> CoalescingCrowd<P> {
 }
 
 impl<P> QueryCrowd<'_, P> {
-    /// Reads this query's `k` answers for `cell` off the stored batch, if
-    /// the reading rule allows it and the batch holds enough of them (or
-    /// ended in an error). `None` means the query must ask.
+    /// Reads this query's `k` answers for `cell`, with their workers, off
+    /// the stored batch, if the reading rule allows it and the batch
+    /// holds enough of them (or ended in an error). `None` means the
+    /// query must ask.
     fn read(
         &self,
         cell: (ObjectId, AttributeId),
         k: usize,
         out: &mut Vec<f64>,
+        workers: &mut Vec<WorkerId>,
     ) -> Option<Result<(), CrowdError>> {
         let mut table = lock(&self.crowd.table);
         let b = table.get_mut(&cell)?;
@@ -182,7 +212,9 @@ impl<P> QueryCrowd<'_, P> {
         if b.stamp <= self.stamp || b.asker == self.stamp || (short && b.outcome.is_ok()) {
             return None;
         }
-        out.extend_from_slice(&b.answers[..k.min(b.answers.len())]);
+        let read = &b.answers[..k.min(b.answers.len())];
+        out.extend(read.iter().map(|&(v, _)| v));
+        workers.extend(read.iter().map(|&(_, w)| w));
         let outcome = if short { b.outcome.clone() } else { Ok(()) };
         b.readers += 1;
         b.k_sum += k as u32;
@@ -217,12 +249,13 @@ impl<P> QueryCrowd<'_, P> {
 }
 
 impl<P: CrowdPlatform> crate::ValueSource for QueryCrowd<'_, P> {
-    fn ask_values(
+    fn ask_values_attributed(
         &mut self,
         o: ObjectId,
         a: AttributeId,
         k: usize,
         out: &mut Vec<f64>,
+        workers: &mut Vec<WorkerId>,
     ) -> Result<(), CrowdError> {
         let crowd = self.crowd;
         crowd
@@ -231,38 +264,54 @@ impl<P: CrowdPlatform> crate::ValueSource for QueryCrowd<'_, P> {
         if k == 0 {
             return Ok(());
         }
-        // Passthrough: a lone query has nobody to share with.
-        if crowd.in_flight() <= 1 {
-            crowd.asked_questions.fetch_add(k as u64, Ordering::Relaxed);
-            return lock(&crowd.platform).ask_values(o, a, k, out);
-        }
-        let cell = (o, a);
-        if let Some(outcome) = self.read(cell, k, out) {
-            return outcome;
-        }
-        let mut platform = crowd.lock_platform(o, a, k);
-        // Another query may have asked this cell while we waited.
-        if let Some(outcome) = self.read(cell, k, out) {
-            return outcome;
-        }
-        crowd.asked_questions.fetch_add(k as u64, Ordering::Relaxed);
-        let stamp = crowd.begun.load(Ordering::Acquire);
         let start = out.len();
-        let outcome = platform.ask_values(o, a, k, out);
-        // Stored under the platform lock, so the next asker's re-check
-        // above always sees it.
-        lock(&crowd.table).insert(
-            cell,
-            Batch {
-                stamp,
-                asker: self.stamp,
-                req: disq_trace::span::current_request(),
-                answers: out[start..].to_vec(),
-                outcome: outcome.clone(),
-                readers: 0,
-                k_sum: k as u32,
-            },
-        );
+        let outcome = if crowd.in_flight() <= 1 {
+            // Passthrough: a lone query has nobody to share with.
+            crowd.asked_questions.fetch_add(k as u64, Ordering::Relaxed);
+            let mut platform = lock(&crowd.platform);
+            CrowdPlatform::ask_values_attributed(&mut *platform, o, a, k, out, workers)
+        } else {
+            let cell = (o, a);
+            if let Some(outcome) = self.read(cell, k, out, workers) {
+                return outcome;
+            }
+            let mut platform = crowd.lock_platform(o, a, k);
+            // Another query may have asked this cell while we waited.
+            if let Some(outcome) = self.read(cell, k, out, workers) {
+                return outcome;
+            }
+            crowd.asked_questions.fetch_add(k as u64, Ordering::Relaxed);
+            let stamp = crowd.begun.load(Ordering::Acquire);
+            let asked_from = workers.len();
+            let outcome =
+                CrowdPlatform::ask_values_attributed(&mut *platform, o, a, k, out, workers);
+            // Stored under the platform lock, so the next asker's re-check
+            // above always sees it.
+            lock(&crowd.table).insert(
+                cell,
+                Batch {
+                    stamp,
+                    asker: self.stamp,
+                    req: disq_trace::span::current_request(),
+                    answers: out[start..]
+                        .iter()
+                        .copied()
+                        .zip(workers[asked_from..].iter().copied())
+                        .collect(),
+                    outcome: outcome.clone(),
+                    readers: 0,
+                    k_sum: k as u32,
+                },
+            );
+            outcome
+        };
+        // The platform lock is released: injected latency slows this
+        // query without holding up the others.
+        let sleep_us = injected_sleep_us();
+        if sleep_us > 0 {
+            let asked = (out.len() - start) as u64;
+            std::thread::sleep(std::time::Duration::from_micros(sleep_us * asked));
+        }
         outcome
     }
 }
@@ -288,10 +337,13 @@ mod tests {
         pictures::spec().id_of("Bmi").unwrap()
     }
 
-    fn ask<S: ValueSource>(s: &mut S, o: usize, k: usize) -> Vec<f64> {
-        let mut out = Vec::new();
-        s.ask_values(ObjectId(o), bmi(), k, &mut out).unwrap();
-        out
+    /// Asks `k` answers about `o.Bmi`, each paired with its worker.
+    fn ask<S: ValueSource>(s: &mut S, o: usize, k: usize) -> Vec<(f64, WorkerId)> {
+        let (mut out, mut workers) = (Vec::new(), Vec::new());
+        s.ask_values_attributed(ObjectId(o), bmi(), k, &mut out, &mut workers)
+            .unwrap();
+        assert_eq!(out.len(), workers.len(), "ids stay parallel to answers");
+        out.into_iter().zip(workers).collect()
     }
 
     fn stats(requested: u64, asked: u64, coalesced: u64, saved: u64) -> BatcherStats {
@@ -304,7 +356,8 @@ mod tests {
     }
 
     /// With one query in flight the wrapped platform sees exactly the
-    /// calls a bare platform would — answers are bit-identical.
+    /// calls a bare platform would — answers and worker ids are
+    /// bit-identical.
     #[test]
     fn passthrough_is_bit_identical() {
         let coalescer = CoalescingCrowd::new(crowd(7, None));
@@ -394,8 +447,8 @@ mod tests {
     }
 
     /// Budget exhaustion mid-batch: a reader asking for more than the
-    /// partial batch holds gets those answers and the same error, exactly
-    /// like a direct ask.
+    /// partial batch holds gets those answers, their workers and the same
+    /// error, exactly like a direct ask.
     #[test]
     fn budget_error_propagates_to_all_sharers() {
         // Numeric questions cost 0.4¢: 1.2¢ affords 3 answers.
@@ -403,12 +456,15 @@ mod tests {
         let mut q1 = coalescer.begin_query();
         let mut q2 = coalescer.begin_query();
         let (mut asked, mut read) = (Vec::new(), Vec::new());
-        let e1 = q1.ask_values(ObjectId(0), bmi(), 5, &mut asked);
-        let e2 = q2.ask_values(ObjectId(0), bmi(), 5, &mut read);
+        let (mut asked_ids, mut read_ids) = (Vec::new(), Vec::new());
+        let e1 = q1.ask_values_attributed(ObjectId(0), bmi(), 5, &mut asked, &mut asked_ids);
+        let e2 = q2.ask_values_attributed(ObjectId(0), bmi(), 5, &mut read, &mut read_ids);
         assert!(matches!(e1, Err(CrowdError::BudgetExhausted { .. })));
         assert_eq!(e2, e1);
         assert_eq!(asked.len(), 3, "partial answers survive");
+        assert_eq!(asked_ids.len(), 3, "with their workers");
         assert_eq!(read, asked);
+        assert_eq!(read_ids, asked_ids, "a reader gets the asker's workers");
         assert_eq!(coalescer.stats(), stats(10, 5, 1, 5));
     }
 
@@ -420,11 +476,18 @@ mod tests {
     }
 
     impl CrowdPlatform for PanicsOnce {
-        fn ask_value(&mut self, o: ObjectId, a: AttributeId) -> Result<f64, CrowdError> {
+        fn ask_values_attributed(
+            &mut self,
+            o: ObjectId,
+            a: AttributeId,
+            k: usize,
+            out: &mut Vec<f64>,
+            workers: &mut Vec<WorkerId>,
+        ) -> Result<(), CrowdError> {
             if !std::mem::replace(&mut self.panicked, true) {
                 panic!("platform failure");
             }
-            self.inner.ask_value(o, a)
+            CrowdPlatform::ask_values_attributed(&mut self.inner, o, a, k, out, workers)
         }
         fn ask_dismantle(&mut self, a: AttributeId) -> Result<String, CrowdError> {
             self.inner.ask_dismantle(a)

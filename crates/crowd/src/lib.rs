@@ -40,7 +40,7 @@ pub use ledger::{BudgetLedger, LedgerSnapshot, SpendDelta};
 pub use money::Money;
 pub use platform::{CrowdConfig, CrowdPlatform, SimulatedCrowd, ValueSource};
 pub use pricing::PricingModel;
-pub use question::{QuestionKind, ValueBatch};
+pub use question::QuestionKind;
 pub use spam::{filter_spam, filter_spam_into, SpamStats};
 pub use worker::{
     WorkerConfig, WorkerId, WorkerLedger, WorkerModel, WorkerPool, WorkerProfile, WorkerTally,

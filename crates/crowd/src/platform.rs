@@ -30,24 +30,6 @@ use disq_trace::Timer;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-/// Environment variable: artificial per-answer latency in microseconds
-/// for batched value questions (default 0 = off). CI's traced serve
-/// smoke uses it to inject a provably slow request for the slow-request
-/// dump to catch; the sleep happens outside every RNG draw and ledger
-/// charge, so answer streams stay bit-identical.
-pub const CROWD_SLEEP_ENV: &str = "DISQ_CROWD_SLEEP_US";
-
-/// Reads [`CROWD_SLEEP_ENV`] once per process.
-fn injected_sleep_us() -> u64 {
-    static SLEEP_US: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
-    *SLEEP_US.get_or_init(|| {
-        std::env::var(CROWD_SLEEP_ENV)
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(0)
-    })
-}
-
 /// Salt XORed into the crowd seed to derive the *worker-identity* RNG
 /// stream. Keeping identity draws on a separate stream is what lets the
 /// provenance layer stamp every answer without perturbing the
@@ -110,47 +92,18 @@ const JUNK_PHRASES: [&str; 12] = [
 
 /// The crowd as the algorithm sees it.
 pub trait CrowdPlatform {
-    /// Asks one worker for the value of `o.a`; charges a binary or numeric
-    /// value price depending on the attribute kind.
-    fn ask_value(&mut self, o: ObjectId, a: AttributeId) -> Result<f64, CrowdError>;
-
     /// Asks `k` workers for the value of `o.a`, appending each answer to
-    /// `out` as it arrives. Behaviourally identical to `k` calls to
-    /// [`ask_value`](Self::ask_value) — same answers, same ledger
-    /// charges, same RNG stream — but implementations may hoist
-    /// per-question lookups out of the loop. On budget exhaustion the
-    /// answers collected so far stay in `out` and the error is returned,
-    /// exactly as a caller-side loop would observe.
-    fn ask_values(
-        &mut self,
-        o: ObjectId,
-        a: AttributeId,
-        k: usize,
-        out: &mut Vec<f64>,
-    ) -> Result<(), CrowdError> {
-        out.reserve(k);
-        for _ in 0..k {
-            out.push(self.ask_value(o, a)?);
-        }
-        Ok(())
-    }
-
-    /// [`ask_value`](Self::ask_value) with provenance: also reports
-    /// *which* worker answered. The default forwards to `ask_value` and
-    /// stamps [`WorkerId::ANONYMOUS`], so third-party platforms keep
-    /// compiling; platforms with an identity layer override this.
-    fn ask_value_attributed(
-        &mut self,
-        o: ObjectId,
-        a: AttributeId,
-    ) -> Result<(f64, WorkerId), CrowdError> {
-        self.ask_value(o, a).map(|v| (v, WorkerId::ANONYMOUS))
-    }
-
-    /// [`ask_values`](Self::ask_values) with provenance: appends one
-    /// [`WorkerId`] to `workers` per answer appended to `out` (including
-    /// the partial batch left behind on budget exhaustion). The default
-    /// stamps [`WorkerId::ANONYMOUS`].
+    /// `out` and the worker who gave it to `workers`; charges a binary or
+    /// numeric value price per answer depending on the attribute kind.
+    ///
+    /// This is the one value question a platform implements: a single
+    /// question is the `k = 1` batch, and a batch must be
+    /// indistinguishable from `k` single questions — same answers, same
+    /// ledger charges, same RNG stream. On budget exhaustion the answers
+    /// collected so far stay in `out`, with their ids in `workers`, and
+    /// the error is returned, exactly as `k` single questions stopping at
+    /// the first refusal would leave them. Platforms without an identity
+    /// layer stamp [`WorkerId::ANONYMOUS`].
     fn ask_values_attributed(
         &mut self,
         o: ObjectId,
@@ -158,11 +111,37 @@ pub trait CrowdPlatform {
         k: usize,
         out: &mut Vec<f64>,
         workers: &mut Vec<WorkerId>,
+    ) -> Result<(), CrowdError>;
+
+    /// The `k = 1` batch of [`ask_values_attributed`](Self::ask_values_attributed).
+    /// Kept for implementors that still override it; callers ask in
+    /// batches.
+    fn ask_value_attributed(
+        &mut self,
+        o: ObjectId,
+        a: AttributeId,
+    ) -> Result<(f64, WorkerId), CrowdError> {
+        let (mut out, mut workers) = (Vec::with_capacity(1), Vec::with_capacity(1));
+        self.ask_values_attributed(o, a, 1, &mut out, &mut workers)?;
+        Ok((out[0], workers[0]))
+    }
+
+    /// [`ask_value_attributed`](Self::ask_value_attributed) without the
+    /// worker id.
+    fn ask_value(&mut self, o: ObjectId, a: AttributeId) -> Result<f64, CrowdError> {
+        self.ask_value_attributed(o, a).map(|(v, _)| v)
+    }
+
+    /// [`ask_values_attributed`](Self::ask_values_attributed) without the
+    /// worker ids.
+    fn ask_values(
+        &mut self,
+        o: ObjectId,
+        a: AttributeId,
+        k: usize,
+        out: &mut Vec<f64>,
     ) -> Result<(), CrowdError> {
-        let start = out.len();
-        let res = self.ask_values(o, a, k, out);
-        workers.extend((start..out.len()).map(|_| WorkerId::ANONYMOUS));
-        res
+        self.ask_values_attributed(o, a, k, out, &mut Vec::with_capacity(k))
     }
 
     /// Asks one worker to dismantle attribute `a`; returns the raw answer
@@ -190,25 +169,15 @@ pub trait CrowdPlatform {
 /// offer that — it multiplexes one platform between concurrent requests
 /// and cannot hand out `&BudgetLedger` borrows — so the estimation entry
 /// points bound on this trait instead. Every `CrowdPlatform` is a
-/// `ValueSource` through the blanket impl, so existing callers compile
-/// unchanged; request-scoped handles (e.g. `QueryCrowd`) implement only
+/// `ValueSource` through the blanket impl, which forwards the attributed
+/// batch; request-scoped handles (e.g. `QueryCrowd`) implement only
 /// this.
 pub trait ValueSource {
     /// Asks `k` workers for the value of `o.a`, appending each answer to
-    /// `out`. Same contract as [`CrowdPlatform::ask_values`]: on budget
-    /// exhaustion the answers collected so far stay in `out` and the
-    /// error is returned.
-    fn ask_values(
-        &mut self,
-        o: ObjectId,
-        a: AttributeId,
-        k: usize,
-        out: &mut Vec<f64>,
-    ) -> Result<(), CrowdError>;
-
-    /// [`ask_values`](Self::ask_values) with provenance: appends one
-    /// [`WorkerId`] per answer. The default stamps
-    /// [`WorkerId::ANONYMOUS`]; sources with an identity layer override.
+    /// `out` and its worker to `workers`. Same contract as
+    /// [`CrowdPlatform::ask_values_attributed`]: on budget exhaustion the
+    /// answers collected so far stay in `out`, their ids in `workers`,
+    /// and the error is returned.
     fn ask_values_attributed(
         &mut self,
         o: ObjectId,
@@ -216,15 +185,11 @@ pub trait ValueSource {
         k: usize,
         out: &mut Vec<f64>,
         workers: &mut Vec<WorkerId>,
-    ) -> Result<(), CrowdError> {
-        let start = out.len();
-        let res = self.ask_values(o, a, k, out);
-        workers.extend((start..out.len()).map(|_| WorkerId::ANONYMOUS));
-        res
-    }
-}
+    ) -> Result<(), CrowdError>;
 
-impl<P: CrowdPlatform + ?Sized> ValueSource for P {
+    /// [`ask_values_attributed`](Self::ask_values_attributed) without the
+    /// worker ids. Kept for implementors that still override it; callers
+    /// ask with attribution.
     fn ask_values(
         &mut self,
         o: ObjectId,
@@ -232,9 +197,11 @@ impl<P: CrowdPlatform + ?Sized> ValueSource for P {
         k: usize,
         out: &mut Vec<f64>,
     ) -> Result<(), CrowdError> {
-        CrowdPlatform::ask_values(self, o, a, k, out)
+        self.ask_values_attributed(o, a, k, out, &mut Vec::with_capacity(k))
     }
+}
 
+impl<P: CrowdPlatform + ?Sized> ValueSource for P {
     fn ask_values_attributed(
         &mut self,
         o: ObjectId,
@@ -353,82 +320,16 @@ impl SimulatedCrowd {
         };
         (v, WorkerId(w as u32))
     }
-
-    /// Shared batched-ask body: charges the ledger once for the batch
-    /// (the prefix the budget can pay for, see [`BudgetLedger::charge_n`]),
-    /// then draws the charged answers one by one in the order per-question
-    /// asks would. It always draws a worker per answer (so the identity
-    /// stream stays in lockstep with the answer count whether or not the
-    /// caller wants attribution) and records ids only when `workers` is
-    /// provided — the unattributed hot path allocates nothing.
-    fn ask_values_impl(
-        &mut self,
-        o: ObjectId,
-        a: AttributeId,
-        k: usize,
-        out: &mut Vec<f64>,
-        mut workers: Option<&mut Vec<WorkerId>>,
-    ) -> Result<(), CrowdError> {
-        let (qk, price) = self.value_kind(a);
-        let spec = self.population.spec().attr(a);
-        let (kind, mean, sd, worker_sd) = (spec.kind, spec.mean, spec.sd, spec.worker_sd);
-        let truth = self.population.value(o, a);
-        let sleep_us = injected_sleep_us();
-        let (charged, charge) = self.ledger.charge_n(qk, price, k);
-        out.reserve(charged);
-        for _ in 0..charged {
-            let (v, w) = disq_trace::time(Timer::CrowdQuestion, || {
-                if sleep_us > 0 {
-                    std::thread::sleep(std::time::Duration::from_micros(sleep_us));
-                }
-                self.draw_value(kind, truth, mean, sd, worker_sd)
-            });
-            out.push(v);
-            if let Some(ws) = workers.as_deref_mut() {
-                ws.push(w);
-            }
-        }
-        charge
-    }
 }
 
 impl CrowdPlatform for SimulatedCrowd {
-    fn ask_value(&mut self, o: ObjectId, a: AttributeId) -> Result<f64, CrowdError> {
-        self.ask_value_attributed(o, a).map(|(v, _)| v)
-    }
-
-    fn ask_value_attributed(
-        &mut self,
-        o: ObjectId,
-        a: AttributeId,
-    ) -> Result<(f64, WorkerId), CrowdError> {
-        disq_trace::time(Timer::CrowdQuestion, || {
-            let (qk, price) = self.value_kind(a);
-            self.ledger.charge(qk, price)?;
-            let spec = self.population.spec().attr(a);
-            let (kind, mean, sd, worker_sd) = (spec.kind, spec.mean, spec.sd, spec.worker_sd);
-            let truth = self.population.value(o, a);
-            Ok(self.draw_value(kind, truth, mean, sd, worker_sd))
-        })
-    }
-
-    /// Batched value questions: the price, attribute spec, and ground
+    /// Batched value questions: the price, attribute spec and ground
     /// truth are resolved once for the whole batch (one column lookup
-    /// instead of `k`) and the ledger is charged once, but the ledger ends
-    /// in the state `k` separate [`ask_value`](CrowdPlatform::ask_value)
-    /// calls would leave and the answers are drawn from the RNG in
-    /// exactly their order — the answer stream is bit-identical
-    /// (`batched_ask_matches_looped_ask`).
-    fn ask_values(
-        &mut self,
-        o: ObjectId,
-        a: AttributeId,
-        k: usize,
-        out: &mut Vec<f64>,
-    ) -> Result<(), CrowdError> {
-        self.ask_values_impl(o, a, k, out, None)
-    }
-
+    /// instead of `k`), and the ledger is charged once for the prefix the
+    /// budget can pay for ([`BudgetLedger::charge_n`]). The charged
+    /// answers are then drawn one by one, each with a worker off the
+    /// identity stream, in exactly the order `k` single questions would
+    /// draw them (`batched_ask_matches_looped_ask`).
     fn ask_values_attributed(
         &mut self,
         o: ObjectId,
@@ -437,7 +338,21 @@ impl CrowdPlatform for SimulatedCrowd {
         out: &mut Vec<f64>,
         workers: &mut Vec<WorkerId>,
     ) -> Result<(), CrowdError> {
-        self.ask_values_impl(o, a, k, out, Some(workers))
+        let (qk, price) = self.value_kind(a);
+        let spec = self.population.spec().attr(a);
+        let (kind, mean, sd, worker_sd) = (spec.kind, spec.mean, spec.sd, spec.worker_sd);
+        let truth = self.population.value(o, a);
+        let (charged, charge) = self.ledger.charge_n(qk, price, k);
+        out.reserve(charged);
+        workers.reserve(charged);
+        for _ in 0..charged {
+            let (v, w) = disq_trace::time(Timer::CrowdQuestion, || {
+                self.draw_value(kind, truth, mean, sd, worker_sd)
+            });
+            out.push(v);
+            workers.push(w);
+        }
+        charge
     }
 
     fn ask_dismantle(&mut self, a: AttributeId) -> Result<String, CrowdError> {

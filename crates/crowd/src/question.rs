@@ -1,7 +1,5 @@
-//! Question taxonomy (§2) and answer batches.
+//! Question taxonomy (§2).
 
-use crate::worker::WorkerId;
-use disq_domain::{AttributeId, ObjectId};
 use std::fmt;
 
 /// The four crowd question types of the paper, used for pricing and ledger
@@ -44,95 +42,9 @@ impl fmt::Display for QuestionKind {
     }
 }
 
-/// A batch of worker answers to value questions about one
-/// `(object, attribute)` cell — the `{o.a^(1)}₁ⁿ` sets of Table 1.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ValueBatch {
-    /// Object asked about.
-    pub object: ObjectId,
-    /// Attribute asked about.
-    pub attr: AttributeId,
-    /// Individual worker answers in arrival order.
-    pub answers: Vec<f64>,
-    /// Who produced each answer, parallel to `answers`. Platforms
-    /// without an identity layer stamp [`WorkerId::ANONYMOUS`].
-    pub workers: Vec<WorkerId>,
-}
-
-impl ValueBatch {
-    /// Creates an empty batch for a cell.
-    pub fn new(object: ObjectId, attr: AttributeId) -> Self {
-        ValueBatch {
-            object,
-            attr,
-            answers: Vec::new(),
-            workers: Vec::new(),
-        }
-    }
-
-    /// Appends one attributed answer, keeping `answers` and `workers`
-    /// parallel.
-    pub fn push(&mut self, answer: f64, worker: WorkerId) {
-        self.answers.push(answer);
-        self.workers.push(worker);
-    }
-
-    /// Iterates `(answer, worker)` pairs. Answers recorded directly into
-    /// [`answers`](Self::answers) without provenance read back as
-    /// [`WorkerId::ANONYMOUS`].
-    pub fn attributed(&self) -> impl Iterator<Item = (f64, WorkerId)> + '_ {
-        self.answers.iter().enumerate().map(|(i, &v)| {
-            (
-                v,
-                self.workers.get(i).copied().unwrap_or(WorkerId::ANONYMOUS),
-            )
-        })
-    }
-
-    /// Average answer — the `o.a^(n)` aggregation the paper uses.
-    /// Returns `None` for an empty batch.
-    pub fn average(&self) -> Option<f64> {
-        if self.answers.is_empty() {
-            None
-        } else {
-            Some(self.answers.iter().sum::<f64>() / self.answers.len() as f64)
-        }
-    }
-
-    /// Number of answers collected.
-    pub fn len(&self) -> usize {
-        self.answers.len()
-    }
-
-    /// True when no answers were collected.
-    pub fn is_empty(&self) -> bool {
-        self.answers.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn batch_average() {
-        let mut b = ValueBatch::new(ObjectId(0), AttributeId(1));
-        assert_eq!(b.average(), None);
-        assert!(b.is_empty());
-        b.answers.extend([1.0, 2.0, 6.0]);
-        assert_eq!(b.average(), Some(3.0));
-        assert_eq!(b.len(), 3);
-    }
-
-    #[test]
-    fn attributed_pairs_and_anonymous_backfill() {
-        let mut b = ValueBatch::new(ObjectId(0), AttributeId(1));
-        b.push(1.5, WorkerId(4));
-        b.answers.push(2.5); // legacy direct append: no provenance
-        let pairs: Vec<_> = b.attributed().collect();
-        assert_eq!(pairs, vec![(1.5, WorkerId(4)), (2.5, WorkerId::ANONYMOUS)]);
-        assert_eq!(b.len(), 2);
-    }
 
     #[test]
     fn kinds_display_distinctly() {

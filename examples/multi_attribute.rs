@@ -10,7 +10,7 @@
 use disq::core::{online, preprocess, DisqConfig, PairingPolicy};
 use disq::crowd::{CrowdConfig, Money, PricingModel, SimulatedCrowd};
 use disq::domain::domains::pictures;
-use disq::domain::{ObjectId, Population};
+use disq::domain::{ObjectId, Population, Query};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -60,8 +60,14 @@ fn main() {
         let mut online_crowd =
             SimulatedCrowd::new(population.clone(), CrowdConfig::default(), None, 10);
         let objects: Vec<ObjectId> = (0..150).map(ObjectId).collect();
-        let raw = online::estimate_objects(&mut online_crowd, &out.plan, &objects).unwrap();
-        // Plan target order matches `targets` here (query attrs lead).
+        let query = Query::new(targets.to_vec(), vec![]);
+        let raw: Vec<Vec<f64>> =
+            online::evaluate_query(&mut online_crowd, &out.plan, &query, &objects)
+                .unwrap()
+                .rows
+                .into_iter()
+                .map(|row| row.values)
+                .collect();
         let truth: Vec<Vec<f64>> = objects
             .iter()
             .map(|&o| targets.iter().map(|&a| population.value(o, a)).collect())

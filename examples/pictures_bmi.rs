@@ -8,7 +8,7 @@ use disq::baselines::{naive_average, run_baseline, Baseline};
 use disq::core::{metrics, online, DisqConfig};
 use disq::crowd::{CrowdConfig, Money, PricingModel, SimulatedCrowd};
 use disq::domain::domains::pictures;
-use disq::domain::{ObjectId, Population};
+use disq::domain::{ObjectId, Population, Query};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -59,7 +59,14 @@ fn main() {
             let mut online_crowd =
                 SimulatedCrowd::new(population.clone(), CrowdConfig::default(), None, rep + 500);
             let objects: Vec<ObjectId> = (0..150).map(ObjectId).collect();
-            let est = online::estimate_objects(&mut online_crowd, &plan, &objects).unwrap();
+            let query = Query::new(vec![bmi], vec![]);
+            let est: Vec<Vec<f64>> =
+                online::evaluate_query(&mut online_crowd, &plan, &query, &objects)
+                    .unwrap()
+                    .rows
+                    .into_iter()
+                    .map(|row| row.values)
+                    .collect();
             let truth: Vec<Vec<f64>> = objects
                 .iter()
                 .map(|&o| vec![population.value(o, bmi)])

@@ -10,7 +10,7 @@
 use disq::core::{online, preprocess, DisqConfig};
 use disq::crowd::{CrowdConfig, Money, PricingModel, SimulatedCrowd};
 use disq::domain::domains::synthetic::{self, SyntheticConfig};
-use disq::domain::{ObjectId, Population};
+use disq::domain::{ObjectId, Population, Query};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -74,14 +74,16 @@ fn main() {
     let mut online_crowd =
         SimulatedCrowd::new(population.clone(), CrowdConfig::default(), None, 43);
     let objects: Vec<ObjectId> = (0..20).map(ObjectId).collect();
-    let estimates = online::estimate_objects(&mut online_crowd, &out.plan, &objects).unwrap();
+    let query = Query::new(vec![target], vec![]);
+    let result = online::evaluate_query(&mut online_crowd, &out.plan, &query, &objects).unwrap();
     println!("\n object | estimate | truth");
     println!(" -------+----------+------");
     let mut se = 0.0;
-    for (o, est) in objects.iter().zip(&estimates) {
-        let truth = population.value(*o, target);
-        se += (est[0] - truth) * (est[0] - truth);
-        println!("  {:>5} | {:>8.2} | {:>5.2}", o.index(), est[0], truth);
+    for row in &result.rows {
+        let (o, est) = (row.object, row.values[0]);
+        let truth = population.value(o, target);
+        se += (est - truth) * (est - truth);
+        println!("  {:>5} | {:>8.2} | {:>5.2}", o.index(), est, truth);
     }
     println!(
         "\nRMSE over {} objects: {:.3} (target sd {:.3})",

@@ -12,7 +12,7 @@ use disq::baselines::{run_baseline, Baseline};
 use disq::core::{metrics, online, DisqConfig};
 use disq::crowd::{CrowdConfig, Money, PricingModel, SimulatedCrowd};
 use disq::domain::domains::synthetic::{self, SyntheticConfig};
-use disq::domain::{AttributeId, ObjectId, Population};
+use disq::domain::{AttributeId, ObjectId, Population, Query};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -69,7 +69,14 @@ fn main() {
                     rep + 999,
                 );
                 let objects: Vec<ObjectId> = (0..120).map(ObjectId).collect();
-                let est = online::estimate_objects(&mut online_crowd, &plan, &objects).unwrap();
+                let query = Query::new(vec![target], vec![]);
+                let est: Vec<Vec<f64>> =
+                    online::evaluate_query(&mut online_crowd, &plan, &query, &objects)
+                        .unwrap()
+                        .rows
+                        .into_iter()
+                        .map(|row| row.values)
+                        .collect();
                 let truth: Vec<Vec<f64>> = objects
                     .iter()
                     .map(|&o| vec![population.value(o, target)])

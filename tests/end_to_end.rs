@@ -4,7 +4,7 @@ use disq::baselines::{naive_average, run_baseline, Baseline};
 use disq::core::{metrics, online, preprocess, DisqConfig};
 use disq::crowd::{CrowdConfig, CrowdPlatform, Money, PricingModel, SimulatedCrowd};
 use disq::domain::domains::{pictures, recipes, synthetic};
-use disq::domain::{AttributeId, ObjectId, Population};
+use disq::domain::{AttributeId, ObjectId, Population, Query};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -30,14 +30,14 @@ fn online_error(
 ) -> f64 {
     let mut crowd = SimulatedCrowd::new(pop.clone(), CrowdConfig::default(), None, seed);
     let objects: Vec<ObjectId> = (0..150).map(ObjectId).collect();
-    let raw = online::estimate_objects(&mut crowd, plan, &objects).unwrap();
-    let order: Vec<usize> = targets
-        .iter()
-        .map(|&t| plan.regressions.iter().position(|r| r.target == t).unwrap())
-        .collect();
-    let est: Vec<Vec<f64>> = raw
-        .iter()
-        .map(|row| order.iter().map(|&i| row[i]).collect())
+    // A select-only query returns every object's estimates, in query
+    // target order.
+    let query = Query::new(targets.to_vec(), vec![]);
+    let est: Vec<Vec<f64>> = online::evaluate_query(&mut crowd, plan, &query, &objects)
+        .unwrap()
+        .rows
+        .into_iter()
+        .map(|row| row.values)
         .collect();
     let truth: Vec<Vec<f64>> = objects
         .iter()

@@ -7,7 +7,7 @@ use disq::core::{
 };
 use disq::crowd::{CrowdConfig, CrowdPlatform, Money, PricingModel, QuestionKind, SimulatedCrowd};
 use disq::domain::domains::pictures;
-use disq::domain::{ObjectId, Population};
+use disq::domain::{ObjectId, Population, Query};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -124,17 +124,14 @@ fn plan_round_trips_between_offline_and_online_process() {
     let pop = Population::sample(Arc::clone(&spec), 300, &mut rng).unwrap();
     let mut crowd = SimulatedCrowd::new(pop.clone(), CrowdConfig::default(), None, 99);
     let objects: Vec<ObjectId> = (0..40).map(ObjectId).collect();
-    let est = online::estimate_objects(&mut crowd, &plan, &objects).unwrap();
-    assert_eq!(est.len(), 40);
-    // Estimates are sane: within a plausible range of the attribute means.
     let bmi = spec.id_of("Bmi").unwrap();
-    let idx = plan
-        .regressions
-        .iter()
-        .position(|r| r.target == bmi)
-        .unwrap();
-    for row in &est {
-        assert!((5.0..60.0).contains(&row[idx]), "Bmi estimate {}", row[idx]);
+    let query = Query::new(vec![bmi], vec![]);
+    let est = online::evaluate_query(&mut crowd, &plan, &query, &objects).unwrap();
+    assert_eq!(est.rows.len(), 40);
+    // Estimates are sane: within a plausible range of the attribute means.
+    for row in &est.rows {
+        let v = row.values[0];
+        assert!((5.0..60.0).contains(&v), "Bmi estimate {v}");
     }
 }
 

@@ -7,7 +7,7 @@
 //! **nothing**: the per-object cost of the n = 10⁶ online sweep is pure
 //! compute, not allocator traffic.
 
-use disq::core::online::{estimate_object_into, estimate_objects_into, EstimateScratch};
+use disq::core::online::{estimate_objects_into, EstimateScratch};
 use disq::core::{EvaluationPlan, PlannedAttribute, TargetRegression};
 use disq::crowd::{CrowdConfig, SimulatedCrowd};
 use disq::domain::{domains::pictures, AttributeKind, ObjectId, Population};
@@ -60,13 +60,16 @@ fn warm_estimation_allocates_nothing() {
     let mut out = Vec::with_capacity(64 * plan.regressions.len());
 
     // Warm-up: grows the scratch buffers (and any allocator-side caches).
-    estimate_object_into(&mut crowd, &plan, ObjectId(0), &mut scratch, &mut out).unwrap();
+    let mut sweep = |o: usize, out: &mut Vec<f64>| {
+        estimate_objects_into(&mut crowd, &plan, &[ObjectId(o)], &mut scratch, out, None)
+    };
+    sweep(0, &mut out).unwrap();
     out.clear();
 
     let bytes0 = disq::trace::thread_alloc_bytes();
     let allocs0 = disq::trace::thread_allocs();
     for i in 1..50 {
-        estimate_object_into(&mut crowd, &plan, ObjectId(i), &mut scratch, &mut out).unwrap();
+        sweep(i, &mut out).unwrap();
     }
     let bytes = disq::trace::thread_alloc_bytes() - bytes0;
     let allocs = disq::trace::thread_allocs() - allocs0;
@@ -88,12 +91,12 @@ fn warm_flat_sweep_allocates_nothing() {
     let objects: Vec<ObjectId> = (0..40).map(ObjectId).collect();
     let mut scratch = EstimateScratch::new();
     let mut out = Vec::new();
-    estimate_objects_into(&mut crowd, &plan, &objects, &mut scratch, &mut out).unwrap();
+    estimate_objects_into(&mut crowd, &plan, &objects, &mut scratch, &mut out, None).unwrap();
     out.clear();
     out.reserve(objects.len() * plan.regressions.len());
 
     let bytes0 = disq::trace::thread_alloc_bytes();
-    estimate_objects_into(&mut crowd, &plan, &objects, &mut scratch, &mut out).unwrap();
+    estimate_objects_into(&mut crowd, &plan, &objects, &mut scratch, &mut out, None).unwrap();
     let bytes = disq::trace::thread_alloc_bytes() - bytes0;
     assert_eq!(bytes, 0, "warm flat sweep allocated {bytes} bytes");
 }

@@ -4,7 +4,7 @@
 use disq::core::{online, preprocess, DisqConfig, Unification};
 use disq::crowd::{CrowdConfig, Money, PricingModel, SimulatedCrowd};
 use disq::domain::domains::pictures;
-use disq::domain::{ObjectId, Population};
+use disq::domain::{ObjectId, Population, Query};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -34,7 +34,13 @@ fn run_with(crowd_config: CrowdConfig, algo_config: DisqConfig, seed: u64) -> f6
     .expect("preprocessing under degraded crowd");
     let mut online_crowd = SimulatedCrowd::new(pop.clone(), crowd_config, None, seed + 1);
     let objects: Vec<ObjectId> = (0..120).map(ObjectId).collect();
-    let est = online::estimate_objects(&mut online_crowd, &out.plan, &objects).unwrap();
+    let query = Query::new(vec![bmi], vec![]);
+    let est: Vec<Vec<f64>> = online::evaluate_query(&mut online_crowd, &out.plan, &query, &objects)
+        .unwrap()
+        .rows
+        .into_iter()
+        .map(|row| row.values)
+        .collect();
     let truth: Vec<Vec<f64>> = objects.iter().map(|&o| vec![pop.value(o, bmi)]).collect();
     disq::core::metrics::query_error(&est, &truth, &weights)
 }
