@@ -297,69 +297,31 @@ pub fn run_cell_in_world(
         .collect();
     let error = metrics::query_error(&estimates, &truth, &weights);
 
-    // ---- Calibration trace ------------------------------------------------
-    // One self-contained event per query target joining the Eq. 2
-    // *predicted* Err(b) against the regression's training MSE and the
-    // *realized* per-object MSE, so `disq-insight calib` can score the
-    // error model without cross-event joins (parallel sweeps interleave
-    // worker events arbitrarily).
-    if disq_trace::active() {
-        if let Some(out) = &preprocess {
-            let b_f64: Vec<f64> = out.budget.iter().map(|&q| q as f64).collect();
-            let label = format!(
-                "{}/{}/{}",
-                cell.domain.name(),
-                cell.targets.join("+"),
-                cell.strategy.name()
-            );
-            for (qi, name) in cell.targets.iter().enumerate() {
-                let predicted_mse = out.trio.predicted_error(qi, &b_f64).unwrap_or(f64::NAN);
-                let training_mse = plan.regressions[order[qi]].training_mse;
-                let n_objects = estimates.len();
-                let realized_mse = if n_objects == 0 {
-                    0.0
-                } else {
-                    estimates
-                        .iter()
-                        .zip(&truth)
-                        .map(|(e, t)| {
-                            let d = e[qi] - t[qi];
-                            d * d
-                        })
-                        .sum::<f64>()
-                        / n_objects as f64
-                };
-                disq_trace::emit(|| disq_trace::TraceEvent::EvalCalibration {
-                    label: label.clone(),
-                    seed: rep,
-                    target: (*name).to_string(),
-                    predicted_mse,
-                    training_mse,
-                    realized_mse,
-                    n_objects: n_objects as u32,
-                });
-            }
-            // ---- Audit ledger ------------------------------------------
-            // The full error-attribution story: per-target decomposition
-            // (query_audit), per-object residuals/CIs (object_audit), and
-            // per-attribute drift detection over the retained batch
-            // statistics (drift_update / drift_detected + gauges).
-            if let Some(audit) = &audit {
-                crate::audit::emit_query_audits(
-                    cell, rep, &label, out, &plan, &order, &objects, population, &estimates,
-                    &truth, audit,
-                );
-                // Worker provenance: planted profiles, per-worker tallies,
-                // and the live worker-health gauges.
-                crate::audit::emit_worker_telemetry(
-                    cell,
-                    rep,
-                    &label,
-                    online_crowd.worker_pool(),
-                    audit.workers(),
-                );
-            }
-        }
+    // ---- Audit ledger -----------------------------------------------------
+    // The full error-attribution story: per-target decomposition
+    // (query_audit, which `disq-insight calib` also scores),
+    // per-object residuals/CIs (object_audit), and per-attribute drift
+    // detection over the retained batch statistics (drift_update /
+    // drift_detected). The audit exists only under an active sink with a
+    // preprocessing output to audit against.
+    if let (Some(out), Some(audit)) = (&preprocess, &audit) {
+        let label = format!(
+            "{}/{}/{}",
+            cell.domain.name(),
+            cell.targets.join("+"),
+            cell.strategy.name()
+        );
+        crate::audit::emit_query_audits(
+            cell, rep, &label, out, &plan, &order, &objects, population, &estimates, &truth, audit,
+        );
+        // Worker provenance: planted profiles and per-worker tallies.
+        crate::audit::emit_worker_telemetry(
+            cell,
+            rep,
+            &label,
+            online_crowd.worker_pool(),
+            audit.workers(),
+        );
     }
 
     Ok(CellOutcome {

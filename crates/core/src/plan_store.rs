@@ -476,6 +476,18 @@ mod tests {
         assert_eq!(output_to_json(&back, &m), text, "second serialization");
     }
 
+    /// A file this encoder wrote for [`sample_output`] pins the version-1
+    /// format: the encoder must reproduce it byte for byte, and so must
+    /// decoding it and encoding again.
+    #[test]
+    fn golden_file_pins_the_v1_format() {
+        const GOLDEN: &str = include_str!("../tests/fixtures/plan_store_v1.json");
+        assert_eq!(output_to_json(&sample_output(), &meta()), GOLDEN);
+        let (back, m) = output_from_json(GOLDEN).unwrap();
+        assert_eq!(m, meta());
+        assert_eq!(output_to_json(&back, &m), GOLDEN);
+    }
+
     #[test]
     fn roundtrip_preserves_float_bits() {
         let out = sample_output();

@@ -1,58 +1,35 @@
 //! Err(b) calibration: how honest is the Eq. 2 error model?
 //!
-//! The bench runner emits one `eval_calibration` event per query target
-//! joining the *predicted* plan error
-//! `Err(b) = Var(a_t) − S_oᵀ(S_a + Diag(S_c/b))⁻¹S_o` against the
+//! Every `query_audit` ledger the bench runner emits carries, for one
+//! query target, the *predicted* plan error
+//! `Err(b) = Var(a_t) − S_oᵀ(S_a + Diag(S_c/b))⁻¹S_o` beside the
 //! regression's training MSE and the *realized* per-object MSE on the
-//! held-out evaluation objects. This module scores that join: Pearson
-//! correlation between predicted and realized, mean bias, and the
-//! worst-calibrated samples (the attributes the model lies about most).
+//! held-out evaluation objects. This module scores the ledgers that
+//! [`crate::explain`] folds: Pearson correlation between predicted and
+//! realized, mean bias, and the worst-calibrated samples (the
+//! attributes the model lies about most).
 
+use crate::explain::QueryExplain;
 use crate::report::fmt_f64;
 use crate::table::{Align, Table};
 
-/// One target's calibration sample (mirrors the `eval_calibration`
-/// event).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CalibSample {
-    /// Cell identity: domain / query / strategy.
-    pub label: String,
-    /// Repetition seed.
-    pub seed: u64,
-    /// Target attribute label.
-    pub target: String,
-    /// Predicted `Err(b)` (NaN when the strategy has no trio).
-    pub predicted_mse: f64,
-    /// Plan regression training MSE.
-    pub training_mse: f64,
-    /// Realized held-out MSE.
-    pub realized_mse: f64,
-    /// Objects averaged over.
-    pub n_objects: u32,
-}
-
-impl CalibSample {
-    /// Relative miss of the prediction: `(realized − predicted) /
-    /// realized`, the signed fraction of realized error the model failed
-    /// to anticipate. `None` when either side is non-finite or realized
-    /// is zero.
-    pub fn relative_miss(&self) -> Option<f64> {
-        if !self.predicted_mse.is_finite()
-            || !self.realized_mse.is_finite()
-            || self.realized_mse == 0.0
-        {
-            return None;
-        }
-        Some((self.realized_mse - self.predicted_mse) / self.realized_mse)
+/// Relative miss of a ledger's prediction: `(realized − predicted) /
+/// realized`, the signed fraction of realized error the model failed to
+/// anticipate. `None` when either side is non-finite or realized is
+/// zero.
+pub fn relative_miss(q: &QueryExplain) -> Option<f64> {
+    if !q.predicted_mse.is_finite() || !q.realized_mse.is_finite() || q.realized_mse == 0.0 {
+        return None;
     }
+    Some((q.realized_mse - q.predicted_mse) / q.realized_mse)
 }
 
 /// The scored calibration report.
 #[derive(Debug, Clone)]
 pub struct CalibReport {
-    /// Samples with finite predicted and realized values.
-    pub scored: Vec<CalibSample>,
-    /// Samples dropped for non-finite values (NaiveAverage etc.).
+    /// Ledgers with finite predicted and realized values.
+    pub scored: Vec<QueryExplain>,
+    /// Ledgers dropped for non-finite values.
     pub unscored: usize,
     /// Pearson r between predicted and realized MSE.
     pub pearson_predicted: Option<f64>,
@@ -66,14 +43,14 @@ pub struct CalibReport {
 pub const MAX_OFFENDERS: usize = 5;
 
 impl CalibReport {
-    /// Scores a batch of calibration samples.
-    pub fn build(samples: &[CalibSample]) -> CalibReport {
-        let scored: Vec<CalibSample> = samples
+    /// Scores the ledgers of [`crate::ExplainReport::queries`].
+    pub fn build(queries: &[QueryExplain]) -> CalibReport {
+        let scored: Vec<QueryExplain> = queries
             .iter()
             .filter(|s| s.predicted_mse.is_finite() && s.realized_mse.is_finite())
             .cloned()
             .collect();
-        let unscored = samples.len() - scored.len();
+        let unscored = queries.len() - scored.len();
         let predicted: Vec<f64> = scored.iter().map(|s| s.predicted_mse).collect();
         let training: Vec<f64> = scored.iter().map(|s| s.training_mse).collect();
         let realized: Vec<f64> = scored.iter().map(|s| s.realized_mse).collect();
@@ -97,11 +74,11 @@ impl CalibReport {
 
     /// The [`MAX_OFFENDERS`] scored samples with the largest absolute
     /// relative miss, worst first.
-    pub fn worst_offenders(&self) -> Vec<&CalibSample> {
-        let mut with_miss: Vec<(&CalibSample, f64)> = self
+    pub fn worst_offenders(&self) -> Vec<&QueryExplain> {
+        let mut with_miss: Vec<(&QueryExplain, f64)> = self
             .scored
             .iter()
-            .filter_map(|s| s.relative_miss().map(|m| (s, m.abs())))
+            .filter_map(|s| relative_miss(s).map(|m| (s, m.abs())))
             .collect();
         with_miss.sort_by(|a, b| b.1.total_cmp(&a.1));
         with_miss
@@ -121,7 +98,7 @@ impl CalibReport {
         ));
         if self.scored.is_empty() {
             out.push_str(
-                "no eval_calibration events found — run the bench harness \
+                "no query_audit events found — run the bench harness \
                  with DISQ_TRACE set\n",
             );
             return out;
@@ -166,8 +143,7 @@ impl CalibReport {
                 fmt_f64(s.predicted_mse),
                 fmt_f64(s.training_mse),
                 fmt_f64(s.realized_mse),
-                s.relative_miss()
-                    .map_or("n/a".into(), |m| format!("{:+.1}%", 100.0 * m)),
+                relative_miss(s).map_or("n/a".into(), |m| format!("{:+.1}%", 100.0 * m)),
             ]);
         }
         out.push_str(&t.render());
@@ -188,8 +164,7 @@ impl CalibReport {
                     s.target.clone(),
                     fmt_f64(s.predicted_mse),
                     fmt_f64(s.realized_mse),
-                    s.relative_miss()
-                        .map_or("n/a".into(), |m| format!("{:+.1}%", 100.0 * m)),
+                    relative_miss(s).map_or("n/a".into(), |m| format!("{:+.1}%", 100.0 * m)),
                 ]);
             }
             out.push_str(&t.render());
@@ -225,15 +200,15 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
 mod tests {
     use super::*;
 
-    fn sample(target: &str, predicted: f64, realized: f64) -> CalibSample {
-        CalibSample {
+    fn sample(target: &str, predicted: f64, realized: f64) -> QueryExplain {
+        QueryExplain {
             label: "pictures/Bmi/DisQ".into(),
-            seed: 0,
             target: target.into(),
+            n_objects: 150,
             predicted_mse: predicted,
             training_mse: predicted * 1.1,
             realized_mse: realized,
-            n_objects: 150,
+            ..QueryExplain::default()
         }
     }
 

@@ -70,7 +70,7 @@ impl ObjectAgg {
 }
 
 /// One fully-attributed query target.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct QueryExplain {
     /// Audit id correlating the ledger with its object rows.
     pub query: u64,
@@ -330,7 +330,7 @@ impl ExplainReport {
             }),
             TraceEvent::SpamDecision { answers, kept, .. } => {
                 self.spam_decisions += 1;
-                self.spam_dropped += u64::from(answers - kept);
+                self.spam_dropped += u64::from(answers.saturating_sub(kept));
             }
             _ => {}
         }

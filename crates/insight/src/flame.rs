@@ -1,10 +1,20 @@
-//! Flamegraph aggregation: fold the span stream into a label hierarchy
-//! with self/total wall time and per-span allocation accounting.
+//! The one span join, and flamegraph aggregation over it.
 //!
-//! Spans are joined `span_start`→`span_end` by id and parented through
-//! the ids recorded at start time (not text heuristics), so the tree is
-//! exact even when multiple bench threads interleave their events in
-//! one file. Two renderings:
+//! [`SpanJoin`] pairs `span_start` with `span_end` by id as the stream
+//! goes by. `report`, `flame` (and so `slow`) and `timeline` all read
+//! spans through it, so the rules live here once: a span is open from
+//! its start until the end with its id, an end with no open start is
+//! counted and skipped, and a span's path is the chain of its
+//! still-open ancestors, recorded by id at start time (not text
+//! heuristics). The join streams rather than storing a forest because
+//! every output follows stream order: report labels and flame roots
+//! appear in first-close order, and the timeline interleaves closed
+//! spans with instants.
+//!
+//! [`FlameGraph`] folds the joined spans into a label hierarchy with
+//! self/total wall time and per-span allocation accounting, exact even
+//! when multiple bench threads interleave their events in one file.
+//! Two renderings:
 //!
 //! * [`FlameGraph::render_tree`] — an ASCII tree with per-node count,
 //!   total time, *self* time (total minus children), and allocated
@@ -19,6 +29,91 @@ use disq_trace::{TraceEvent, TraceReader};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::BufRead;
+
+/// What a `span_start` recorded; [`SpanJoin::add`] hands it back when
+/// the span closes, and the caller reads the measurements off the
+/// `span_end` it holds.
+#[derive(Debug, Clone)]
+pub(crate) struct Span {
+    /// Span label.
+    pub(crate) label: String,
+    /// Free-form detail.
+    pub(crate) detail: String,
+    /// Enclosing span id, `None` at a root.
+    pub(crate) parent: Option<u64>,
+    /// Request id the span ran under (0 outside any request).
+    pub(crate) req: u64,
+    /// The caller's stamp for the `span_start` line, in µs.
+    pub(crate) start_us: u64,
+}
+
+/// The streaming `span_start`/`span_end` join; feed events in stream
+/// order.
+#[derive(Debug, Clone, Default)]
+pub struct SpanJoin {
+    /// Open spans by id. Entries surviving the whole stream mean the
+    /// trace was truncated.
+    open: BTreeMap<u64, Span>,
+    /// `span_end`s that matched no open span.
+    pub unmatched_ends: usize,
+}
+
+impl SpanJoin {
+    /// Folds one event: a `span_start` opens a span stamped `start_us`,
+    /// and a matched `span_end` closes its span and returns it. Every
+    /// other event, and an unmatched end, returns `None`.
+    pub(crate) fn add(&mut self, event: &TraceEvent, start_us: u64) -> Option<Span> {
+        match event {
+            TraceEvent::SpanStart {
+                id,
+                parent,
+                req,
+                label,
+                detail,
+                ..
+            } => {
+                let span = Span {
+                    label: label.clone(),
+                    detail: detail.clone(),
+                    parent: *parent,
+                    req: *req,
+                    start_us,
+                };
+                self.open.insert(*id, span);
+                None
+            }
+            TraceEvent::SpanEnd { id, .. } => {
+                let span = self.open.remove(id);
+                self.unmatched_ends += usize::from(span.is_none());
+                span
+            }
+            _ => None,
+        }
+    }
+
+    /// Labels from the root down to `span`. Children close before
+    /// parents, so a closed span's ancestors are all still open. The
+    /// walk takes at most one step per open span, so a corrupt trace
+    /// whose parents form a cycle cuts the path short instead of hanging.
+    pub(crate) fn path<'a>(&'a self, span: &'a Span) -> Vec<&'a str> {
+        let mut path = vec![span.label.as_str()];
+        let mut cursor = span.parent;
+        for _ in 0..self.open.len() {
+            let Some(parent) = cursor.and_then(|c| self.open.get(&c)) else {
+                break;
+            };
+            path.push(&parent.label);
+            cursor = parent.parent;
+        }
+        path.reverse();
+        path
+    }
+
+    /// Spans opened but never closed.
+    pub fn open_spans(&self) -> usize {
+        self.open.len()
+    }
+}
 
 /// Aggregated totals of one node of the label tree.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -59,13 +154,10 @@ impl FlameNode {
 /// The folded span hierarchy of one trace.
 #[derive(Debug, Default)]
 pub struct FlameGraph {
-    /// Top-level spans (no parent), in first-seen order.
+    /// Top-level spans (no open parent), in first-close order.
     pub roots: Vec<FlameNode>,
-    /// Open spans: id → (label, parent id). Entries surviving the whole
-    /// stream mean the trace was truncated.
-    open: BTreeMap<u64, (String, Option<u64>)>,
-    /// `span_end`s that matched no open span.
-    pub unmatched_ends: usize,
+    /// The span join the hierarchy is folded from.
+    pub spans: SpanJoin,
 }
 
 impl FlameGraph {
@@ -83,54 +175,28 @@ impl FlameGraph {
         fg
     }
 
-    /// Spans opened but never closed.
-    pub fn open_spans(&self) -> usize {
-        self.open.len()
-    }
-
     /// Folds one event into the hierarchy.
     pub fn add(&mut self, event: &TraceEvent) {
-        match event {
-            TraceEvent::SpanStart {
-                id, parent, label, ..
-            } => {
-                self.open.insert(*id, (label.clone(), *parent));
-            }
+        let closed = self.spans.add(event, 0);
+        if let (
+            Some(span),
             TraceEvent::SpanEnd {
-                id,
                 dur_ns,
                 alloc_bytes,
                 allocs,
                 questions,
                 kernel_ns,
                 ..
-            } => {
-                // Children close before parents, so at close time the
-                // whole ancestor chain is still in `open`.
-                let mut path = Vec::new();
-                let mut cursor = Some(*id);
-                while let Some(c) = cursor {
-                    let Some((label, parent)) = self.open.get(&c) else {
-                        break;
-                    };
-                    path.push(label.clone());
-                    cursor = *parent;
-                }
-                if path.is_empty() {
-                    self.unmatched_ends += 1;
-                    return;
-                }
-                path.reverse();
-                self.open.remove(id);
-                let node = descend(&mut self.roots, &path);
-                node.count += 1;
-                node.total_ns += dur_ns;
-                node.alloc_bytes += alloc_bytes;
-                node.allocs += allocs;
-                node.questions += questions;
-                node.kernel_ns += kernel_ns;
-            }
-            _ => {}
+            },
+        ) = (closed, event)
+        {
+            let node = descend(&mut self.roots, &self.spans.path(&span));
+            node.count += 1;
+            node.total_ns += dur_ns;
+            node.alloc_bytes += alloc_bytes;
+            node.allocs += allocs;
+            node.questions += questions;
+            node.kernel_ns += kernel_ns;
         }
     }
 
@@ -147,15 +213,19 @@ impl FlameGraph {
         for r in roots {
             render_node(&mut out, r, 0);
         }
-        if self.open_spans() > 0 {
+        if self.spans.open_spans() > 0 {
             let _ = writeln!(
                 out,
                 "({} spans left open — truncated trace?)",
-                self.open_spans()
+                self.spans.open_spans()
             );
         }
-        if self.unmatched_ends > 0 {
-            let _ = writeln!(out, "({} unmatched span_ends skipped)", self.unmatched_ends);
+        if self.spans.unmatched_ends > 0 {
+            let _ = writeln!(
+                out,
+                "({} unmatched span_ends skipped)",
+                self.spans.unmatched_ends
+            );
         }
         out
     }
@@ -172,13 +242,13 @@ impl FlameGraph {
 }
 
 /// Walks/creates the node chain for `path`, returning the leaf.
-fn descend<'a>(roots: &'a mut Vec<FlameNode>, path: &[String]) -> &'a mut FlameNode {
+fn descend<'a>(roots: &'a mut Vec<FlameNode>, path: &[&str]) -> &'a mut FlameNode {
     let (head, rest) = path.split_first().expect("non-empty path");
     let pos = match roots.iter().position(|n| n.label == *head) {
         Some(pos) => pos,
         None => {
             roots.push(FlameNode {
-                label: head.clone(),
+                label: head.to_string(),
                 ..FlameNode::default()
             });
             roots.len() - 1
@@ -290,7 +360,7 @@ mod tests {
         assert_eq!(dismantle.children[0].total_ns, 4_000_000);
         assert_eq!(dismantle.self_ns(), 1_000_000);
         assert_eq!(dismantle.self_bytes(), 100);
-        assert_eq!(fg.open_spans(), 0);
+        assert_eq!(fg.spans.open_spans(), 0);
     }
 
     #[test]
@@ -331,11 +401,25 @@ mod tests {
         let mut fg = FlameGraph::new();
         fg.add(&start(1, None, "a"));
         fg.add(&end(7, 1, 0, 0));
-        assert_eq!(fg.open_spans(), 1);
-        assert_eq!(fg.unmatched_ends, 1);
+        assert_eq!(fg.spans.open_spans(), 1);
+        assert_eq!(fg.spans.unmatched_ends, 1);
         let text = fg.render_tree();
         assert!(text.contains("left open"), "{text}");
         assert!(text.contains("unmatched"), "{text}");
+    }
+
+    /// A corrupt trace whose parents form a cycle yields a cut path, not
+    /// a hang: first a self-parented span, then a two-span cycle.
+    #[test]
+    fn cyclic_parents_cut_the_path_instead_of_hanging() {
+        let mut fg = FlameGraph::new();
+        fg.add(&start(1, Some(1), "self"));
+        fg.add(&end(1, 1_000, 0, 0));
+        fg.add(&start(2, Some(3), "a"));
+        fg.add(&start(3, Some(2), "b"));
+        fg.add(&start(4, Some(2), "c"));
+        fg.add(&end(4, 2_000, 0, 0));
+        assert_eq!(fg.render_folded(false), "self 1\nb;a;c 2\n");
     }
 
     #[test]

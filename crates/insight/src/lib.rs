@@ -8,9 +8,10 @@
 //!   aggregated [`report::RunReport`]: budget attribution by phase and
 //!   question kind, dismantle-decision tables with every candidate's
 //!   Eq. 8/9 score, and SPRT verdict/sample summaries.
-//! * [`calib`] — scores the Eq. 2 error model: joins predicted `Err(b)`
-//!   against realized per-object MSE, reporting correlation, bias and
-//!   the worst-calibrated attributes.
+//! * [`calib`] — scores the Eq. 2 error model over the `query_audit`
+//!   ledgers [`explain`] folds: predicted `Err(b)` against realized
+//!   per-object MSE, reporting correlation, bias and the
+//!   worst-calibrated attributes.
 //! * [`explain`] — `EXPLAIN ANALYZE` for crowd queries: renders the
 //!   audit ledger of a traced run (query/object audits, drift-detector
 //!   status, spam decisions) into a per-query error-attribution
@@ -25,7 +26,9 @@
 //! * [`timeline`] — exports the span/event stream as Chrome trace-event
 //!   JSON for `chrome://tracing` / Perfetto.
 //! * [`flame`] — folds spans into a self/total-time and bytes-allocated
-//!   hierarchy: ASCII tree or classic folded stacks.
+//!   hierarchy: ASCII tree or classic folded stacks. It also holds the
+//!   one streaming [`flame::SpanJoin`] through which `report`, `flame` (and so
+//!   `slow`) and `timeline` pair `span_start` with `span_end`.
 //!
 //! The `disq-insight` binary wraps all of these as subcommands
 //! (`report` and `explain` also speak `--json`). Everything is
@@ -44,7 +47,7 @@ pub mod table;
 pub mod timeline;
 pub mod workers;
 
-pub use calib::{CalibReport, CalibSample};
+pub use calib::CalibReport;
 pub use explain::{ExplainReport, QueryExplain};
 pub use flame::{FlameGraph, FlameNode};
 pub use report::RunReport;

@@ -3,7 +3,8 @@
 
 use disq_insight::{calib, explain, flame, report, slow, timeline, workers};
 use disq_trace::TraceReader;
-use std::io::Write;
+use std::fs::File;
+use std::io::{BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -47,7 +48,7 @@ usage:
 
   disq-insight calib <trace.jsonl>
       Score the Err(b) error model against realized per-object MSE
-      (requires eval_calibration events from a traced bench run).
+      (requires query_audit events from a traced bench run).
 
   disq-insight timeline <trace.jsonl> [-o <out.json>]
       Export the span/event stream as Chrome trace-event JSON; open the
@@ -120,24 +121,28 @@ fn out(text: &str) {
     let _ = std::io::stdout().lock().write_all(text.as_bytes());
 }
 
-fn open_report(path: &Path) -> Result<report::RunReport, String> {
-    let reader =
-        TraceReader::open(path).map_err(|e| format!("cannot open {}: {e}", path.display()))?;
-    Ok(report::RunReport::from_reader(reader))
+fn open(path: &Path) -> Result<TraceReader<BufReader<File>>, String> {
+    TraceReader::open(path).map_err(|e| format!("cannot open {}: {e}", path.display()))
 }
 
-fn cmd_report(args: &[String]) -> Result<ExitCode, String> {
-    let mut trace: Option<PathBuf> = None;
+/// Parses `<file> [--json]`; `missing` is the error when no file is
+/// given.
+fn file_and_json(args: &[String], missing: &str) -> Result<(PathBuf, bool), String> {
+    let mut file: Option<PathBuf> = None;
     let mut json = false;
     for a in args {
         match a.as_str() {
             "--json" => json = true,
-            _ if trace.is_none() => trace = Some(a.into()),
+            _ if file.is_none() => file = Some(a.into()),
             other => return Err(format!("unexpected argument {other:?}")),
         }
     }
-    let trace = trace.ok_or("report: missing <trace.jsonl>")?;
-    let report = open_report(&trace)?;
+    Ok((file.ok_or(missing)?, json))
+}
+
+fn cmd_report(args: &[String]) -> Result<ExitCode, String> {
+    let (trace, json) = file_and_json(args, "report: missing <trace.jsonl>")?;
+    let report = report::RunReport::from_reader(open(&trace)?);
     if json {
         out(&report.to_json());
         out("\n");
@@ -148,25 +153,14 @@ fn cmd_report(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_explain(args: &[String]) -> Result<ExitCode, String> {
-    let mut trace: Option<PathBuf> = None;
-    let mut json = false;
-    for a in args {
-        match a.as_str() {
-            "--json" => json = true,
-            _ if trace.is_none() => trace = Some(a.into()),
-            other => return Err(format!("unexpected argument {other:?}")),
-        }
-    }
-    let trace = trace.ok_or("explain: missing <trace.jsonl>")?;
+    let (trace, json) = file_and_json(args, "explain: missing <trace.jsonl>")?;
     if !trace.exists() {
         return no_data(format!(
             "explain: {} does not exist — nothing to explain",
             trace.display()
         ));
     }
-    let reader =
-        TraceReader::open(&trace).map_err(|e| format!("cannot open {}: {e}", trace.display()))?;
-    let report = explain::ExplainReport::from_reader(reader);
+    let report = explain::ExplainReport::from_reader(open(&trace)?);
     if report.queries.is_empty() && report.drift.is_empty() && report.alarms.is_empty() {
         return no_data(format!(
             "explain: no audit ledger in {} — re-run the benchmark with DISQ_TRACE \
@@ -191,25 +185,14 @@ fn cmd_explain(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_workers(args: &[String]) -> Result<ExitCode, String> {
-    let mut trace: Option<PathBuf> = None;
-    let mut json = false;
-    for a in args {
-        match a.as_str() {
-            "--json" => json = true,
-            _ if trace.is_none() => trace = Some(a.into()),
-            other => return Err(format!("unexpected argument {other:?}")),
-        }
-    }
-    let trace = trace.ok_or("workers: missing <trace.jsonl>")?;
+    let (trace, json) = file_and_json(args, "workers: missing <trace.jsonl>")?;
     if !trace.exists() {
         return no_data(format!(
             "workers: {} does not exist — nothing to score",
             trace.display()
         ));
     }
-    let reader =
-        TraceReader::open(&trace).map_err(|e| format!("cannot open {}: {e}", trace.display()))?;
-    let report = workers::WorkersReport::from_reader(reader);
+    let report = workers::WorkersReport::from_reader(open(&trace)?);
     if report.is_empty() {
         return no_data(format!(
             "workers: no worker events in {} — re-run the benchmark with DISQ_TRACE \
@@ -227,16 +210,7 @@ fn cmd_workers(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_slow(args: &[String]) -> Result<ExitCode, String> {
-    let mut dump: Option<PathBuf> = None;
-    let mut json = false;
-    for a in args {
-        match a.as_str() {
-            "--json" => json = true,
-            _ if dump.is_none() => dump = Some(a.into()),
-            other => return Err(format!("unexpected argument {other:?}")),
-        }
-    }
-    let dump = dump.ok_or("slow: missing <slow-dump.jsonl>")?;
+    let (dump, json) = file_and_json(args, "slow: missing <slow-dump.jsonl>")?;
     if !dump.exists() {
         return no_data(format!(
             "slow: {} does not exist — disq-serve writes dumps under \
@@ -244,9 +218,7 @@ fn cmd_slow(args: &[String]) -> Result<ExitCode, String> {
             dump.display()
         ));
     }
-    let mut reader =
-        TraceReader::open(&dump).map_err(|e| format!("cannot open {}: {e}", dump.display()))?;
-    let Some(report) = slow::SlowReport::from_reader(&mut reader) else {
+    let Some(report) = slow::SlowReport::from_reader(&mut open(&dump)?) else {
         return no_data(format!(
             "slow: no request span in {} — not a slow-request dump",
             dump.display()
@@ -275,11 +247,11 @@ fn cmd_calib(args: &[String]) -> Result<ExitCode, String> {
     let [trace] = args else {
         return Err("calib: expected exactly <trace.jsonl>".into());
     };
-    let report = open_report(Path::new(trace))?;
+    let report = explain::ExplainReport::from_reader(open(Path::new(trace))?);
     if let Some(w) = &report.skip_warning {
         eprintln!("{w}");
     }
-    out(&calib::CalibReport::build(&report.calibrations).render());
+    out(&calib::CalibReport::build(&report.queries).render());
     Ok(ExitCode::SUCCESS)
 }
 
@@ -295,8 +267,7 @@ fn cmd_timeline(args: &[String]) -> Result<ExitCode, String> {
         }
     }
     let trace = trace.ok_or("timeline: missing <trace.jsonl>")?;
-    let mut reader =
-        TraceReader::open(&trace).map_err(|e| format!("cannot open {}: {e}", trace.display()))?;
+    let mut reader = open(&trace)?;
     let tl = timeline::Timeline::from_reader(&mut reader);
     if let Some(w) = reader.skip_warning() {
         eprintln!("{w}");
@@ -333,8 +304,7 @@ fn cmd_flame(args: &[String]) -> Result<ExitCode, String> {
         return Err("flame: --bytes only applies to --folded output".into());
     }
     let trace = trace.ok_or("flame: missing <trace.jsonl>")?;
-    let mut reader =
-        TraceReader::open(&trace).map_err(|e| format!("cannot open {}: {e}", trace.display()))?;
+    let mut reader = open(&trace)?;
     let fg = flame::FlameGraph::from_reader(&mut reader);
     if let Some(w) = reader.skip_warning() {
         eprintln!("{w}");

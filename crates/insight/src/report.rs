@@ -4,8 +4,8 @@
 //! memory per aggregate, into: budget attribution by phase and question
 //! kind, the dismantle-decision tables (every candidate's Eq. 8/9
 //! `Pr(new|a_j)·Σω[G−L]` score against the chosen one), SPRT verdict and
-//! sample totals, budget-distribution and regression summaries, and the
-//! Err(b) calibration samples consumed by [`crate::calib`].
+//! sample totals, budget-distribution and regression summaries, and a
+//! per-label span table read through the shared [`SpanJoin`].
 //!
 //! [`RunReport::derived_counters`] re-derives the always-on
 //! [`Counter`] totals *from events alone*; for an offline (preprocessing)
@@ -13,7 +13,7 @@
 //! the end-to-end test proves it — which is what makes the report
 //! trustworthy: if the stream lost events, the totals would disagree.
 
-use crate::calib::CalibSample;
+use crate::flame::SpanJoin;
 use crate::table::{Align, Table};
 use disq_trace::{CandidateScore, Counter, TraceEvent, TraceReader};
 use std::fmt::Write as _;
@@ -105,8 +105,6 @@ pub struct RunReport {
     /// counts and total duration. Use `disq-insight flame`/`timeline`
     /// for the full hierarchy.
     pub span_labels: Vec<(String, u64, u64)>,
-    /// Err(b) calibration samples (see [`crate::calib`]).
-    pub calibrations: Vec<CalibSample>,
     /// `query_audit` ledgers seen (detailed in [`crate::explain`]).
     pub query_audits: u64,
     /// `object_audit` rows seen.
@@ -124,9 +122,9 @@ pub struct RunReport {
     pub spam_decisions: u64,
     /// Worker answers dropped across all spam decisions.
     pub spam_answers_dropped: u64,
-    /// Labels of spans opened but not yet closed (keyed by span id);
-    /// non-empty after absorbing a truncated trace.
-    pub open_spans: std::collections::BTreeMap<u64, String>,
+    /// The span join; spans left open after absorbing a truncated trace
+    /// stay in it.
+    pub spans: SpanJoin,
     /// Events parsed.
     pub parsed: usize,
     /// Corrupt lines skipped by the reader.
@@ -150,6 +148,7 @@ impl RunReport {
 
     /// Folds one event into the aggregates.
     pub fn absorb(&mut self, event: TraceEvent) {
+        let closed = self.spans.add(&event, 0);
         match event {
             TraceEvent::RunStart { label, seed } => self.runs.push((label, seed)),
             TraceEvent::PhaseSpend {
@@ -232,22 +231,15 @@ impl RunReport {
             TraceEvent::SolverFallback { label, reason } => {
                 self.solver_fallbacks.push((label, reason));
             }
-            TraceEvent::SpanStart { id, label, .. } => {
-                self.span_starts += 1;
-                self.open_spans.insert(id, label);
-            }
+            TraceEvent::SpanStart { .. } => self.span_starts += 1,
             TraceEvent::SpanEnd {
-                id,
                 dur_ns,
                 alloc_bytes,
                 ..
             } => {
                 self.span_ends += 1;
                 self.span_alloc_bytes += alloc_bytes;
-                let label = self
-                    .open_spans
-                    .remove(&id)
-                    .unwrap_or_else(|| "(unmatched)".into());
+                let label = closed.map_or_else(|| "(unmatched)".into(), |span| span.label);
                 match self.span_labels.iter_mut().find(|(l, _, _)| *l == label) {
                     Some(slot) => {
                         slot.1 += 1;
@@ -256,23 +248,6 @@ impl RunReport {
                     None => self.span_labels.push((label, 1, dur_ns)),
                 }
             }
-            TraceEvent::EvalCalibration {
-                label,
-                seed,
-                target,
-                predicted_mse,
-                training_mse,
-                realized_mse,
-                n_objects,
-            } => self.calibrations.push(CalibSample {
-                label,
-                seed,
-                target,
-                predicted_mse,
-                training_mse,
-                realized_mse,
-                n_objects,
-            }),
             TraceEvent::QueryAudit { .. } => self.query_audits += 1,
             TraceEvent::ObjectAudit { .. } => self.object_audits += 1,
             TraceEvent::DriftUpdate { .. } => self.drift_updates += 1,
@@ -281,7 +256,7 @@ impl RunReport {
             TraceEvent::WorkerStats { .. } => self.worker_stats += 1,
             TraceEvent::SpamDecision { answers, kept, .. } => {
                 self.spam_decisions += 1;
-                self.spam_answers_dropped += u64::from(answers - kept);
+                self.spam_answers_dropped += u64::from(answers.saturating_sub(kept));
             }
             TraceEvent::BatchFlush { .. } => {}
         }
@@ -587,7 +562,7 @@ impl RunReport {
                 "\nspans: {} opened, {} closed{}{}",
                 self.span_starts,
                 self.span_ends,
-                match self.open_spans.len() {
+                match self.spans.open_spans() {
                     0 => String::new(),
                     n => format!(", {n} left open (truncated trace?)"),
                 },
@@ -685,22 +660,20 @@ impl RunReport {
              \"spans\":{{\"starts\":{},\"ends\":{},\"open\":{},\"alloc_bytes\":{}}},\
              \"audit\":{{\"query_audits\":{},\"object_audits\":{},\
              \"drift_updates\":{},\"drift_alarms\":{}}},\
-             \"workers\":{{\"profiles\":{},\"stats\":{}}},\
-             \"calibrations\":{},",
+             \"workers\":{{\"profiles\":{},\"stats\":{}}},",
             self.spam_fallbacks,
             self.spam_decisions,
             self.spam_answers_dropped,
             self.span_starts,
             self.span_ends,
-            self.open_spans.len(),
+            self.spans.open_spans(),
             self.span_alloc_bytes,
             self.query_audits,
             self.object_audits,
             self.drift_updates,
             self.drift_alarms,
             self.worker_profiles,
-            self.worker_stats,
-            self.calibrations.len()
+            self.worker_stats
         );
         o.push_str("\"counters\":{");
         for (i, (c, v)) in self.derived_counters().into_iter().enumerate() {
@@ -935,7 +908,7 @@ mod tests {
         assert_eq!(r.span_starts, 2);
         assert_eq!(r.span_ends, 1);
         assert_eq!(r.span_alloc_bytes, 4096);
-        assert_eq!(r.open_spans.len(), 1);
+        assert_eq!(r.spans.open_spans(), 1);
         assert_eq!(r.span_labels, vec![("examples".to_string(), 1, 1_500_000)]);
         let text = r.render();
         assert!(
@@ -1031,6 +1004,20 @@ mod tests {
             text.contains("spam decisions: 1 batch(es) dropped 2 answer(s)"),
             "{text}"
         );
+    }
+
+    /// A corrupt `spam_decision` that kept more answers than it saw
+    /// counts as dropping none, in both folds that total the drops.
+    #[test]
+    fn corrupt_spam_decision_drops_nothing_instead_of_overflowing() {
+        let line = r#"{"event":"spam_decision","object":1,"attr":0,"answers":5,"kept":7,"median":1.0,"mad":0.5}"#;
+        let event = TraceEvent::parse(line).unwrap();
+        let mut r = RunReport::default();
+        r.absorb(event.clone());
+        assert_eq!((r.spam_decisions, r.spam_answers_dropped), (1, 0));
+        let mut e = crate::explain::ExplainReport::default();
+        e.absorb(event);
+        assert_eq!((e.spam_decisions, e.spam_dropped), (1, 0));
     }
 
     #[test]

@@ -120,8 +120,8 @@ impl SlowReport {
             critical_path,
             questions: root.questions,
             batch_flushes,
-            open_spans: fg.open_spans(),
-            unmatched_ends: fg.unmatched_ends,
+            open_spans: fg.spans.open_spans(),
+            unmatched_ends: fg.spans.unmatched_ends,
             parsed: reader.parsed(),
             skipped: reader.skipped(),
         })

@@ -3,8 +3,9 @@
 //!
 //! Mapping (see the Trace Event Format spec):
 //!
-//! * matched `span_start`/`span_end` pairs → `"ph":"X"` *complete*
-//!   events: `ts` is the start's `t_us` stamp, `dur` is the span's own
+//! * `span_start`/`span_end` pairs matched by the shared
+//!   [`SpanJoin`] → `"ph":"X"` *complete* events, emitted in close
+//!   order: `ts` is the start's `t_us` stamp, `dur` is the span's own
 //!   nanosecond-precise duration, `tid` the recording thread, and
 //!   `args` carries the span detail plus its per-span resource deltas
 //!   (allocation bytes/calls, crowd questions, kernel nanoseconds);
@@ -19,36 +20,26 @@
 //! back to a synthetic clock that advances one microsecond per event —
 //! ordering survives even when wall time was never recorded.
 
+use crate::flame::SpanJoin;
 use disq_trace::json::{self, Json};
 use disq_trace::{TraceEvent, TraceReader};
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::io::BufRead;
-
-/// One span currently open while folding the stream.
-#[derive(Debug, Clone)]
-struct OpenSpan {
-    label: String,
-    detail: String,
-    parent: Option<u64>,
-    req: u64,
-    start_us: u64,
-}
 
 /// Incremental Chrome-trace builder; feed events in stream order.
 #[derive(Debug, Default)]
 pub struct Timeline {
     entries: Vec<String>,
-    open: BTreeMap<u64, OpenSpan>,
-    tids: BTreeMap<u64, ()>,
+    tids: BTreeSet<u64>,
     /// Synthetic clock for unstamped traces (µs; advances per event).
     fallback_us: u64,
+    /// The span join, stamped with each `span_start` line's time.
+    pub spans: SpanJoin,
     /// Completed (matched) spans.
     pub spans_complete: usize,
     /// Non-span events exported as instants/counters.
     pub instants: usize,
-    /// `span_end`s with no matching open `span_start`.
-    pub unmatched_ends: usize,
 }
 
 impl Timeline {
@@ -66,36 +57,14 @@ impl Timeline {
         tl
     }
 
-    /// Spans still open (start seen, end not) — non-empty means the
-    /// trace was truncated mid-run.
-    pub fn open_spans(&self) -> usize {
-        self.open.len()
-    }
-
     /// Folds one event; `t_us` is the line's timestamp when stamped.
     pub fn add(&mut self, event: &TraceEvent, t_us: Option<u64>) {
         let ts = t_us.unwrap_or(self.fallback_us);
         self.fallback_us = ts + 1;
         match event {
-            TraceEvent::SpanStart {
-                id,
-                parent,
-                tid,
-                req,
-                label,
-                detail,
-            } => {
-                self.tids.entry(*tid).or_insert(());
-                self.open.insert(
-                    *id,
-                    OpenSpan {
-                        label: label.clone(),
-                        detail: detail.clone(),
-                        parent: *parent,
-                        req: *req,
-                        start_us: ts,
-                    },
-                );
+            TraceEvent::SpanStart { tid, .. } => {
+                self.tids.insert(*tid);
+                self.spans.add(event, ts);
             }
             TraceEvent::SpanEnd {
                 id,
@@ -106,8 +75,7 @@ impl Timeline {
                 questions,
                 kernel_ns,
             } => {
-                let Some(span) = self.open.remove(id) else {
-                    self.unmatched_ends += 1;
+                let Some(span) = self.spans.add(event, ts) else {
                     return;
                 };
                 self.spans_complete += 1;
@@ -189,7 +157,7 @@ impl Timeline {
             "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
              \"args\":{\"name\":\"events\"}}",
         );
-        for tid in self.tids.keys() {
+        for tid in &self.tids {
             push(
                 &mut out,
                 &format!(
@@ -211,11 +179,11 @@ impl Timeline {
             "timeline: {} spans, {} instants/counters{}{}",
             self.spans_complete,
             self.instants,
-            match self.open.len() {
+            match self.spans.open_spans() {
                 0 => String::new(),
                 n => format!(", {n} spans left open (truncated trace?)"),
             },
-            match self.unmatched_ends {
+            match self.spans.unmatched_ends {
                 0 => String::new(),
                 n => format!(", {n} unmatched span_ends"),
             },
@@ -287,7 +255,7 @@ mod tests {
         tl.add(&end(2, 5_000), Some(25));
         tl.add(&end(1, 50_000), Some(60));
         assert_eq!(tl.spans_complete, 2);
-        assert_eq!(tl.open_spans(), 0);
+        assert_eq!(tl.spans.open_spans(), 0);
         let rendered = tl.render();
         let n = validate(&rendered).unwrap();
         assert_eq!(n, 3 + 2, "metadata (process, tid0, tid1) + 2 spans");
@@ -349,8 +317,8 @@ mod tests {
         let mut tl = Timeline::new();
         tl.add(&start(1, None, "a"), Some(1));
         tl.add(&end(9, 1_000), Some(2)); // bogus end
-        assert_eq!(tl.open_spans(), 1);
-        assert_eq!(tl.unmatched_ends, 1);
+        assert_eq!(tl.spans.open_spans(), 1);
+        assert_eq!(tl.spans.unmatched_ends, 1);
         assert!(tl.summary_line().contains("left open"));
         validate(&tl.render()).unwrap();
     }
@@ -393,8 +361,8 @@ mod tests {
         for event in sink.take() {
             tl.add(&event, None);
         }
-        assert_eq!(tl.unmatched_ends, 0, "every end matched a start");
-        assert_eq!(tl.open_spans(), 0, "every span closed");
+        assert_eq!(tl.spans.unmatched_ends, 0, "every end matched a start");
+        assert_eq!(tl.spans.open_spans(), 0, "every span closed");
         assert_eq!(tl.spans_complete, 8, "2 × (1 request + 3 objects)");
 
         let rendered = tl.render();

@@ -19,6 +19,28 @@ fn tempdir(tag: &str) -> PathBuf {
     dir
 }
 
+/// A `query_audit` ledger for `calib` to score.
+fn ledger(seed: u64, predicted: f64, training: f64, realized: f64) -> disq_trace::TraceEvent {
+    disq_trace::TraceEvent::QueryAudit {
+        query: seed + 1,
+        label: "pictures/Bmi/DisQ".into(),
+        seed,
+        target: "Bmi".into(),
+        n_objects: 150,
+        predicted_mse: predicted,
+        training_mse: training,
+        realized_mse: realized,
+        noise_mse: realized,
+        model_mse: 0.0,
+        cross_mse: 0.0,
+        error_floor: 0.0,
+        budget_truncation: predicted,
+        ci_level: 0.95,
+        ci_coverage: 0.95,
+        attrs: vec![],
+    }
+}
+
 #[test]
 fn report_renders_a_generated_trace() {
     use disq_trace::{KindSpend, TraceEvent};
@@ -40,24 +62,8 @@ fn report_renders_a_generated_trace() {
                 millicents: 4000,
             }],
         },
-        TraceEvent::EvalCalibration {
-            label: "pictures/Bmi/DisQ".into(),
-            seed: 0,
-            target: "Bmi".into(),
-            predicted_mse: 4.0,
-            training_mse: 4.2,
-            realized_mse: 4.4,
-            n_objects: 150,
-        },
-        TraceEvent::EvalCalibration {
-            label: "pictures/Bmi/DisQ".into(),
-            seed: 1,
-            target: "Bmi".into(),
-            predicted_mse: 3.0,
-            training_mse: 3.1,
-            realized_mse: 3.2,
-            n_objects: 150,
-        },
+        ledger(0, 4.0, 4.2, 4.4),
+        ledger(1, 3.0, 3.1, 3.2),
     ];
     let mut text: String = events.iter().map(|e| e.to_json() + "\n").collect();
     text.push_str("corrupt tail without a closing brace");

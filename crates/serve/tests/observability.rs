@@ -1,8 +1,8 @@
 //! Tentpole e2e: request-scoped tracing through the daemon. One served
 //! query must (a) appear in the JSONL access log with its request id,
 //! latency, question count and plan source, (b) trip the slow-request
-//! trigger and leave a flight-recorder dump whose every span carries
-//! that request id, and (c) move the SLO gauges on `/metrics`.
+//! trigger and leave a slow-request dump of its capture whose every span
+//! carries that request id, and (c) move the SLO gauges on `/metrics`.
 
 mod common;
 
@@ -92,7 +92,7 @@ fn served_requests_are_logged_traced_and_dumped_when_slow() {
         "request ids are sequential per daemon"
     );
 
-    // --- Flight-recorder dump: the query's full causal slice. ---
+    // --- Slow-request dump: the query's captured causal slice. ---
     let dump_path = slow_dir.join(format!("slow-req{req_id}-")); // prefix
     let dump_file = std::fs::read_dir(&slow_dir)
         .expect("slow dir exists")

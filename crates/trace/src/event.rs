@@ -392,29 +392,6 @@ schema! {
             /// `sherman_morrison`, `downdate`, `non_finite`).
             reason: String,
         },
-        /// One target's Err(b) calibration sample, emitted by the bench
-        /// runner after scoring a plan against ground truth: the paper's
-        /// predicted plan error joined with the realized per-object MSE.
-        /// Self-contained (no cross-event join key needed) because parallel
-        /// sweeps interleave events from many runs in one JSONL stream.
-        EvalCalibration = "eval_calibration" {
-            /// Cell identity: domain, query, strategy and budgets.
-            label: String,
-            /// Repetition seed of the run.
-            seed: u64,
-            /// Target attribute label.
-            target: String,
-            /// `Err(b) = Var(a_t) − S_oᵀ(S_a + Diag(S_c/b))⁻¹S_o` at the
-            /// chosen budget (NaN when the strategy has no trio, e.g.
-            /// NaiveAverage).
-            predicted_mse: f64,
-            /// The plan regression's realized training MSE.
-            training_mse: f64,
-            /// Realized per-object MSE against bench ground truth.
-            realized_mse: f64,
-            /// Held-out objects the realized MSE averaged over.
-            n_objects: u32,
-        },
         /// The online spam filter discarded at least one answer from a
         /// batch: the filter's decision statistics, surfaced so error
         /// attribution can see *why* answers were dropped.
@@ -439,7 +416,10 @@ schema! {
         /// `noise_mse + model_mse + cross_mse` (exact per-object algebra:
         /// residual = crowd-noise error through the regression + the
         /// regression's own model error on true attribute values).
-        /// Self-contained like [`TraceEvent::EvalCalibration`].
+        /// It is also the Err(b) calibration sample `disq-insight calib`
+        /// scores. It carries the predicted, training and realized MSE
+        /// itself, so no cross-event join is needed when parallel sweeps
+        /// interleave many runs in one stream.
         QueryAudit = "query_audit" {
             /// Process-unique audit id correlating this ledger with its
             /// [`TraceEvent::ObjectAudit`] rows. `(label, seed, target)` is

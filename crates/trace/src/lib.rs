@@ -1,4 +1,4 @@
-//! `disq-trace`: a structured flight recorder for the DisQ pipeline.
+//! `disq-trace`: structured tracing for the DisQ pipeline.
 //!
 //! DisQ's quality hinges on a chain of invisible decisions — Eq. 8/9
 //! dismantle scoring, SPRT verification verdicts, greedy

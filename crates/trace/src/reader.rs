@@ -1,9 +1,9 @@
 //! Streaming, crash-tolerant reading of JSONL trace files.
 //!
-//! A trace written by [`crate::JsonlSink`] is usually pristine, but the
-//! whole point of a flight recorder is to survive crashes: the final
-//! line may be truncated mid-write, a disk may corrupt bytes, or a file
-//! may mix trace lines with unrelated noise. [`TraceReader`] therefore
+//! A trace written by [`crate::JsonlSink`] is usually pristine, but a
+//! trace is most wanted after a crash: the final line may be truncated
+//! mid-write, a disk may corrupt bytes, or a file may mix trace lines
+//! with unrelated noise. [`TraceReader`] therefore
 //! yields every line that parses into a typed [`TraceEvent`] and *skips*
 //! (while counting) every line that does not, so one bad byte never
 //! hides an otherwise-complete run.

@@ -5,8 +5,9 @@
 //!
 //! The fixture covers every event kind, `chosen`/`parent` both null and
 //! set, and a `span_start` without the additive `req` field. Its last
-//! line carries a `null`-encoded float, which today's encoder writes as
-//! a `"bits:…"` string instead.
+//! line is the fixture's `query_audit` with `predicted_mse` written as
+//! `null`, the old encoding of a non-finite float; today's encoder
+//! writes a `"bits:…"` string instead.
 
 use disq_trace::{AttrAudit, CandidateScore, KindSpend, TraceEvent};
 use std::collections::BTreeSet;
@@ -96,15 +97,6 @@ fn finite_events() -> Vec<TraceEvent> {
         TraceEvent::SolverFallback {
             label: "probe".into(),
             reason: "schur".into(),
-        },
-        TraceEvent::EvalCalibration {
-            label: LABEL.into(),
-            seed: 3,
-            target: "Bmi".into(),
-            predicted_mse: 3.75,
-            training_mse: 4.25,
-            realized_mse: 4.5,
-            n_objects: 150,
         },
         TraceEvent::SpamDecision {
             object: 17,
@@ -274,7 +266,7 @@ fn legacy_null_float_reads_back_as_nan() {
     let (_, last) = fixture_lines();
     assert!(last.contains("\"predicted_mse\":null"), "{last}");
     match TraceEvent::parse(last).unwrap() {
-        TraceEvent::EvalCalibration {
+        TraceEvent::QueryAudit {
             predicted_mse,
             training_mse,
             n_objects,

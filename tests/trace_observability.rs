@@ -313,8 +313,8 @@ fn timeline_export_round_trips_spans() {
     let tl = disq_insight::Timeline::from_reader(&mut reader);
     assert!(reader.skip_warning().is_none(), "trace lines skipped");
     assert!(tl.spans_complete > 0, "no spans exported");
-    assert_eq!(tl.unmatched_ends, 0, "span_end without span_start");
-    assert_eq!(tl.open_spans(), 0, "spans left open");
+    assert_eq!(tl.spans.unmatched_ends, 0, "span_end without span_start");
+    assert_eq!(tl.spans.open_spans(), 0, "spans left open");
 
     let rendered = tl.render();
     let n = disq_insight::timeline::validate(&rendered).expect("schema-valid Chrome trace");
