@@ -2,7 +2,7 @@
 //! returning the reproduced rows/series as text.
 //!
 //! Cell-sweep experiments (the figures and robustness tables) collect
-//! *all* of their cells into a [`SweepPlan`] up front and execute them
+//! *all* of their cells into a `SweepPlan` up front and execute them
 //! through one [`crate::harness::run_experiment`] call, so every
 //! `(cell, rep)` unit of the whole artifact fans out across the worker
 //! pool and shares sampled worlds; tables are then formatted from the

@@ -54,8 +54,9 @@ impl WorldCache {
         )
     }
 
-    /// The shared population of `(domain, rep)`: [`POPULATION`] objects
-    /// sampled with [`world_seed`]`(rep)` — byte-for-byte the world the
+    /// The shared population of `(domain, rep)`:
+    /// [`POPULATION`](crate::runner::POPULATION) objects sampled with
+    /// [`world_seed`](crate::runner::world_seed)`(rep)` — byte-for-byte the world the
     /// serial `run_cell` path builds for itself.
     ///
     /// The first caller per key builds (a miss); everyone else gets the

@@ -35,6 +35,12 @@ use std::collections::HashMap;
 /// probe objective keyed by `(budget, target)` under a trio fingerprint
 /// guard, and reuses one [`BudgetSolver`] (factor state + workspaces)
 /// for every probe that must actually run.
+///
+/// The guard is content-based: [`StatsTrio::fingerprint`] hashes every
+/// stored statistic, so a cache survives only a trio whose values are
+/// unchanged bit for bit, however it was written. Every decision pays
+/// for one fingerprint, so the hash takes one multiply step per stored
+/// value, not one per byte.
 #[derive(Debug, Clone, Default)]
 pub struct DismantleScratch {
     solver: BudgetSolver,
@@ -392,8 +398,23 @@ mod tests {
             scratch.probes.values().all(|&v| v == 123.0),
             "unchanged trio must serve probes from the cache"
         );
-        // A statistics mutation must invalidate the cache: the poisoned
-        // entries are cleared and recomputed under the new fingerprint.
+        // The guard reads content, not writes: storing a value back
+        // unchanged keeps the cache.
+        trio.set_s_o(0, 1, trio.s_o(0, 1)).unwrap();
+        assert_eq!(run(&trio, &mut scratch), fresh);
+        assert!(scratch.probes.values().all(|&v| v == 123.0));
+        // A statistics mutation must invalidate the cache, down to a
+        // one-ulp change: the poisoned entries are cleared and
+        // recomputed under the new fingerprint.
+        let s_o = trio.s_o(0, 0);
+        trio.set_s_o(0, 0, f64::from_bits(s_o.to_bits() + 1))
+            .unwrap();
+        run(&trio, &mut scratch);
+        assert!(scratch.probes.values().all(|&v| v != 123.0));
+        trio.set_s_o(0, 0, s_o).unwrap();
+        for v in scratch.probes.values_mut() {
+            *v = 123.0;
+        }
         trio.set_s_o(0, 1, 0.2).unwrap();
         let after_mutation = run(&trio, &mut scratch);
         assert_eq!(scratch.fingerprint, trio.fingerprint());

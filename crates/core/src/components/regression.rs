@@ -13,12 +13,15 @@
 //! gathered so far (as long as the system stays overdetermined) — a
 //! deliberate graceful degradation so tight-budget runs produce a usable,
 //! if noisier, plan.
+//!
+//! One call aggregates all its rows in one reused buffer set and stores
+//! each target's rows flat, so a row costs no heap block of its own.
 
 use crate::components::statistics::StatisticsCollector;
 use crate::{
     AttributePool, DisqConfig, DisqError, EvaluationPlan, PlannedAttribute, TargetRegression,
 };
-use disq_crowd::{CrowdError, CrowdPlatform};
+use disq_crowd::{filter_spam_into, CrowdError, CrowdPlatform, WorkerId};
 use disq_math::{lstsq_svd, Matrix};
 use disq_stats::mean;
 use disq_trace::{Counter, TraceEvent};
@@ -49,25 +52,29 @@ pub fn learn_regressions<P: CrowdPlatform>(
 
     // Collect training rows per target; a budget exhaustion anywhere stops
     // all further collection but keeps completed rows.
-    let mut rows: Vec<Vec<(Vec<f64>, f64)>> = vec![Vec::new(); n_targets];
+    let mut rows: Vec<Rows> = (0..n_targets)
+        .map(|_| Rows::with_capacity(n2, active.len()))
+        .collect();
+    let mut gatherer = RowGatherer {
+        collector,
+        pool,
+        active: &active,
+        b,
+        answers: Vec::new(),
+        workers: Vec::new(),
+        scratch: Vec::new(),
+        kept: Vec::new(),
+    };
     let mut exhausted = false;
 
-    'targets: for t in 0..n_targets {
+    'targets: for (t, rows) in rows.iter_mut().enumerate() {
         // Reuse E_B examples of this target first.
         for (e_idx, ex) in collector.examples().iter().enumerate() {
-            if ex.target_idx != t || rows[t].len() >= n2 {
+            if ex.target_idx != t || rows.len() >= n2 {
                 continue;
             }
-            match build_row(
-                platform,
-                collector,
-                pool,
-                &active,
-                b,
-                Some(e_idx),
-                ex.object,
-            ) {
-                Ok(avgs) => rows[t].push((avgs, ex.target_value)),
+            match gatherer.build_row(platform, Some(e_idx), ex.object, ex.target_value, rows) {
+                Ok(()) => {}
                 Err(DisqError::Crowd(CrowdError::BudgetExhausted { .. })) => {
                     exhausted = true;
                     break 'targets;
@@ -76,14 +83,10 @@ pub fn learn_regressions<P: CrowdPlatform>(
             }
         }
         // Fresh examples for the remainder.
-        while rows[t].len() < n2 {
-            match collect_fresh_row(platform, collector, pool, &active, b, t) {
-                Ok(Some(row)) => rows[t].push(row),
-                Ok(None) => {
-                    exhausted = true;
-                    break 'targets;
-                }
-                Err(e) => return Err(e),
+        while rows.len() < n2 {
+            if !gatherer.fresh_row(platform, t, rows)? {
+                exhausted = true;
+                break 'targets;
             }
         }
     }
@@ -97,18 +100,14 @@ pub fn learn_regressions<P: CrowdPlatform>(
         let max_rows = n2 * 6;
         'extra: loop {
             let mut progressed = false;
-            for t in 0..n_targets {
-                if rows[t].len() >= max_rows {
+            for (t, rows) in rows.iter_mut().enumerate() {
+                if rows.len() >= max_rows {
                     continue;
                 }
-                match collect_fresh_row(platform, collector, pool, &active, b, t) {
-                    Ok(Some(row)) => {
-                        rows[t].push(row);
-                        progressed = true;
-                    }
-                    Ok(None) => break 'extra,
-                    Err(e) => return Err(e),
+                if !gatherer.fresh_row(platform, t, rows)? {
+                    break 'extra;
                 }
+                progressed = true;
             }
             if !progressed {
                 break;
@@ -118,7 +117,7 @@ pub fn learn_regressions<P: CrowdPlatform>(
 
     // Fit one regression per target.
     let mut regressions = Vec::with_capacity(n_targets);
-    for t in 0..n_targets {
+    for (t, data) in rows.iter_mut().enumerate() {
         let _fit_span = disq_trace::span!("regression_fit", "t={t}");
         let target_attr = collector.targets()[t];
         let label = pool
@@ -126,8 +125,8 @@ pub fn learn_regressions<P: CrowdPlatform>(
             .find(|d| d.is_query_attr && d.attr == target_attr)
             .map(|d| d.label.clone())
             .unwrap_or_else(|| format!("{target_attr}"));
-        let data = &rows[t];
-        let enough = data.len() >= active.len() + 2;
+        let n_rows = data.len();
+        let enough = n_rows >= active.len() + 2;
         let regression = if active.is_empty() || !enough {
             // Degenerate (no budget / starved rows): predict the example
             // mean of the target.
@@ -135,7 +134,7 @@ pub fn learn_regressions<P: CrowdPlatform>(
                 return Err(DisqError::BudgetTooSmall {
                     detail: format!(
                         "only {} training rows for target {} (need {})",
-                        data.len(),
+                        n_rows,
                         label,
                         active.len() + 2
                     ),
@@ -155,9 +154,8 @@ pub fn learn_regressions<P: CrowdPlatform>(
                 training_mse: f64::NAN,
             }
         } else {
-            let x = Matrix::from_rows(&data.iter().map(|(r, _)| r.clone()).collect::<Vec<_>>());
-            let y: Vec<f64> = data.iter().map(|(_, v)| *v).collect();
-            let fit = lstsq_svd(&x, &y, config.regression_tol)?;
+            let x = Matrix::from_vec(n_rows, active.len(), std::mem::take(&mut data.x));
+            let fit = lstsq_svd(&x, &data.y, config.regression_tol)?;
             TargetRegression {
                 target: target_attr,
                 label,
@@ -171,7 +169,7 @@ pub fn learn_regressions<P: CrowdPlatform>(
             target: regression.target.0 as u32,
             label: regression.label.clone(),
             training_mse: regression.training_mse,
-            rows: data.len() as u32,
+            rows: n_rows as u32,
         });
         regressions.push(regression);
     }
@@ -195,70 +193,112 @@ pub fn learn_regressions<P: CrowdPlatform>(
     })
 }
 
-/// Collects one fresh training row for target `t`: an example question
-/// plus `b(a)` value questions per active attribute. Returns `Ok(None)`
-/// when the budget is exhausted.
-fn collect_fresh_row<P: CrowdPlatform>(
-    platform: &mut P,
-    collector: &StatisticsCollector,
-    pool: &AttributePool,
-    active: &[usize],
-    b: &[u32],
-    t: usize,
-) -> Result<Option<(Vec<f64>, f64)>, DisqError> {
-    let (object, values) = match platform.ask_example(&[collector.targets()[t]]) {
-        Ok(r) => r,
-        Err(CrowdError::BudgetExhausted { .. }) => return Ok(None),
-        Err(e) => return Err(e.into()),
-    };
-    match build_row(platform, collector, pool, active, b, None, object) {
-        Ok(avgs) => Ok(Some((avgs, values[0]))),
-        Err(DisqError::Crowd(CrowdError::BudgetExhausted { .. })) => Ok(None),
-        Err(e) => Err(e),
+/// One target's training rows, flat: row `r`'s predictors (one average
+/// per active attribute) are `x[r·p..(r+1)·p]` and its true target value
+/// is `y[r]`.
+struct Rows {
+    x: Vec<f64>,
+    y: Vec<f64>,
+}
+
+impl Rows {
+    fn with_capacity(rows: usize, width: usize) -> Self {
+        Rows {
+            x: Vec::with_capacity(rows * width),
+            y: Vec::with_capacity(rows),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.y.len()
     }
 }
 
-/// Produces one training row: for every active attribute, average exactly
-/// `b(a)` answers — recorded ones first (when `e_idx` references an `E_B`
-/// example), fresh value questions for the rest.
-fn build_row<P: CrowdPlatform>(
-    platform: &mut P,
-    collector: &StatisticsCollector,
-    pool: &AttributePool,
-    active: &[usize],
-    b: &[u32],
-    e_idx: Option<usize>,
-    object: disq_domain::ObjectId,
-) -> Result<Vec<f64>, DisqError> {
-    let mut avgs = Vec::with_capacity(active.len());
-    let mut workers = Vec::new();
-    for &a in active {
-        let need = b[a] as usize;
-        let mut answers: Vec<f64> = Vec::with_capacity(need);
-        if let Some(e) = e_idx {
-            if let Some(recorded) = collector.answers(a, e) {
-                answers.extend(recorded.iter().take(need));
-            }
+/// What one `learn_regressions` call reads while it gathers training
+/// rows, and the one buffer set every row is aggregated in.
+struct RowGatherer<'a> {
+    collector: &'a StatisticsCollector,
+    pool: &'a AttributePool,
+    active: &'a [usize],
+    b: &'a [u32],
+    answers: Vec<f64>,
+    workers: Vec<WorkerId>,
+    scratch: Vec<f64>,
+    kept: Vec<f64>,
+}
+
+impl RowGatherer<'_> {
+    /// Collects one fresh training row for target `t` into `rows`: an
+    /// example question plus `b(a)` value questions per active attribute.
+    /// Returns `Ok(false)`, with `rows` unchanged, when the budget is
+    /// exhausted.
+    fn fresh_row<P: CrowdPlatform>(
+        &mut self,
+        platform: &mut P,
+        t: usize,
+        rows: &mut Rows,
+    ) -> Result<bool, DisqError> {
+        let (object, values) = match platform.ask_example(&[self.collector.targets()[t]]) {
+            Ok(r) => r,
+            Err(CrowdError::BudgetExhausted { .. }) => return Ok(false),
+            Err(e) => return Err(e.into()),
+        };
+        match self.build_row(platform, None, object, values[0], rows) {
+            Ok(()) => Ok(true),
+            Err(DisqError::Crowd(CrowdError::BudgetExhausted { .. })) => Ok(false),
+            Err(e) => Err(e),
         }
-        let missing = need - answers.len();
-        if missing > 0 {
-            workers.clear();
-            platform.ask_values_attributed(
-                object,
-                pool.get(a).attr,
-                missing,
-                &mut answers,
-                &mut workers,
-            )?;
-        }
-        // Aggregate exactly as the online phase will (spam filter, then
-        // average) — any train/serve mismatch here biases the learned
-        // coefficients.
-        let kept = disq_crowd::filter_spam(&answers);
-        let used = if kept.is_empty() { &answers } else { &kept };
-        avgs.push(used.iter().sum::<f64>() / used.len() as f64);
     }
-    Ok(avgs)
+
+    /// Appends one training row to `rows`: for every active attribute,
+    /// the average of exactly `b(a)` answers — recorded ones first (when
+    /// `e_idx` references an `E_B` example), fresh value questions for
+    /// the rest — and then the true value `y`. On an error `rows` is left
+    /// as it was.
+    fn build_row<P: CrowdPlatform>(
+        &mut self,
+        platform: &mut P,
+        e_idx: Option<usize>,
+        object: disq_domain::ObjectId,
+        y: f64,
+        rows: &mut Rows,
+    ) -> Result<(), DisqError> {
+        let start = rows.x.len();
+        for &a in self.active {
+            let need = self.b[a] as usize;
+            self.answers.clear();
+            if let Some(recorded) = e_idx.and_then(|e| self.collector.answers(a, e)) {
+                self.answers.extend(recorded.iter().take(need));
+            }
+            let missing = need - self.answers.len();
+            if missing > 0 {
+                self.workers.clear();
+                let attr = self.pool.get(a).attr;
+                if let Err(e) = platform.ask_values_attributed(
+                    object,
+                    attr,
+                    missing,
+                    &mut self.answers,
+                    &mut self.workers,
+                ) {
+                    rows.x.truncate(start);
+                    return Err(e.into());
+                }
+            }
+            // Aggregate exactly as the online phase will (spam filter, then
+            // average) — any train/serve mismatch here biases the learned
+            // coefficients.
+            filter_spam_into(&self.answers, &mut self.scratch, &mut self.kept);
+            let used = if self.kept.is_empty() {
+                &self.answers
+            } else {
+                &self.kept
+            };
+            rows.x.push(used.iter().sum::<f64>() / used.len() as f64);
+        }
+        rows.y.push(y);
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -34,15 +34,45 @@ pub struct Example {
 }
 
 /// Raw statistic data and its bookkeeping.
+///
+/// Preprocessing grows this once per discovered attribute and reads it on
+/// every trio update, so it keeps its data flat: one answer buffer per
+/// attribute instead of one heap block per (attribute, example) cell,
+/// each cell's mean computed once whenever its answers change, and the
+/// target variances computed once at collection.
 #[derive(Debug, Clone)]
 pub struct StatisticsCollector {
     targets: Vec<AttributeId>,
     examples: Vec<Example>,
-    /// `answers[pool_attr][example]`: the k raw worker answers, or `None`
-    /// when the (attribute, example) cell was skipped by the pairing rule.
-    answers: Vec<Vec<Option<Vec<f64>>>>,
-    /// `paired[pool_attr][target]`.
+    /// `Var(a_t)` per target over its example set.
+    target_vars: Vec<f64>,
+    /// `cells[pool_attr]`: the attribute's answers on every example.
+    cells: Vec<AnswerCells>,
+    /// `paired[pool_attr][target]`. Attribute `a` has a cell on example
+    /// `e` iff `paired[a][examples[e].target_idx]`.
     paired: Vec<Vec<bool>>,
+}
+
+/// One attribute's raw answers, one cell per example in example order:
+/// cell `e` is `values[bounds[e]..bounds[e + 1]]` (empty where the
+/// pairing rule skipped the example) and `means[e]` is its `sum / len`
+/// (NaN where skipped).
+#[derive(Debug, Clone)]
+struct AnswerCells {
+    values: Vec<f64>,
+    bounds: Vec<usize>,
+    means: Vec<f64>,
+}
+
+impl AnswerCells {
+    fn cell(&self, e: usize) -> &[f64] {
+        &self.values[self.bounds[e]..self.bounds[e + 1]]
+    }
+}
+
+/// The average the trio reads for one cell.
+fn cell_mean(answers: &[f64]) -> f64 {
+    answers.iter().sum::<f64>() / answers.len() as f64
 }
 
 impl StatisticsCollector {
@@ -63,10 +93,26 @@ impl StatisticsCollector {
                 });
             }
         }
+        // The two-pass batch formula, *not* the streaming one the trio
+        // uses: these variances escape preprocessing as the error weights
+        // `ω_t = 1/Var(a_t)` in [`crate::PreprocessOutput`] and so reach
+        // the experiment tables, which must stay byte-identical. The
+        // streaming co-moments agree with the batch formulas only to
+        // round-off, which is safe solely behind integerizing decisions.
+        let mut values = Vec::with_capacity(n1);
+        let target_vars = (0..targets.len())
+            .map(|t| {
+                values.clear();
+                let own = examples.iter().filter(|e| e.target_idx == t);
+                values.extend(own.map(|e| e.target_value));
+                disq_stats::sample_variance(&values)
+            })
+            .collect();
         Ok(StatisticsCollector {
             targets: targets.to_vec(),
             examples,
-            answers: Vec::new(),
+            target_vars,
+            cells: Vec::new(),
             paired: Vec::new(),
         })
     }
@@ -88,12 +134,26 @@ impl StatisticsCollector {
 
     /// Number of attributes with collected answers so far.
     pub fn n_attrs(&self) -> usize {
-        self.answers.len()
+        self.cells.len()
     }
 
     /// Raw answers for a cell, if collected.
     pub fn answers(&self, pool_attr: usize, example: usize) -> Option<&[f64]> {
-        self.answers[pool_attr][example].as_deref()
+        self.has_cell(pool_attr, example)
+            .then(|| self.cells[pool_attr].cell(example))
+    }
+
+    fn has_cell(&self, pool_attr: usize, example: usize) -> bool {
+        self.paired[pool_attr][self.examples[example].target_idx]
+    }
+
+    /// Attribute `idx`'s collected cells as `(answers, mean)`, in example
+    /// order.
+    fn cells(&self, idx: usize) -> impl Iterator<Item = (&[f64], f64)> + '_ {
+        let store = &self.cells[idx];
+        (0..self.examples.len())
+            .filter(move |&e| self.has_cell(idx, e))
+            .map(move |e| (store.cell(e), store.means[e]))
     }
 
     /// Whether an attribute was paired with a target.
@@ -101,29 +161,17 @@ impl StatisticsCollector {
         self.paired[pool_attr][target]
     }
 
-    /// Empirical variance of a target's true value over its example set.
-    ///
-    /// Always computed with the two-pass batch formula, *not* the
-    /// streaming one the trio uses: this value escapes preprocessing as
-    /// the error weights `ω_t = 1/Var(a_t)` in [`crate::PreprocessOutput`]
-    /// and so reaches the experiment tables, which must stay
-    /// byte-identical. The streaming co-moments agree with the batch
-    /// formulas only to round-off, which is safe solely behind
-    /// integerizing decisions. The example set is N₁-sized, so the
-    /// two-pass scan costs nothing at population scale.
+    /// Empirical variance of a target's true value over its example set,
+    /// computed once by [`collect_examples`](Self::collect_examples) with
+    /// the two-pass batch formula.
     pub fn target_variance(&self, target: usize) -> f64 {
-        let values: Vec<f64> = self
-            .examples
-            .iter()
-            .filter(|e| e.target_idx == target)
-            .map(|e| e.target_value)
-            .collect();
-        disq_stats::sample_variance(&values)
+        self.target_vars[target]
     }
 
     /// Asks `k` value questions about the new attribute on every example
     /// belonging to a paired target, and records the answers. Returns the
     /// new attribute's collector index (must be called in pool order).
+    /// On an error the attribute is not added.
     pub fn add_attribute<P: CrowdPlatform>(
         &mut self,
         platform: &mut P,
@@ -132,21 +180,35 @@ impl StatisticsCollector {
         k: usize,
     ) -> Result<usize, DisqError> {
         assert_eq!(paired.len(), self.n_targets(), "paired arity mismatch");
-        let mut row: Vec<Option<Vec<f64>>> = Vec::with_capacity(self.examples.len());
+        let n = self.examples.len();
+        let asked = self.examples.iter().filter(|ex| paired[ex.target_idx]);
+        let mut cells = AnswerCells {
+            values: Vec::with_capacity(asked.count() * k),
+            bounds: Vec::with_capacity(n + 1),
+            means: Vec::with_capacity(n),
+        };
+        cells.bounds.push(0);
         let mut workers = Vec::with_capacity(k);
         for ex in &self.examples {
+            let start = cells.values.len();
             if paired[ex.target_idx] {
-                let mut ans = Vec::with_capacity(k);
                 workers.clear();
-                platform.ask_values_attributed(ex.object, attr, k, &mut ans, &mut workers)?;
-                row.push(Some(ans));
+                platform.ask_values_attributed(
+                    ex.object,
+                    attr,
+                    k,
+                    &mut cells.values,
+                    &mut workers,
+                )?;
+                cells.means.push(cell_mean(&cells.values[start..]));
             } else {
-                row.push(None);
+                cells.means.push(f64::NAN);
             }
+            cells.bounds.push(cells.values.len());
         }
-        self.answers.push(row);
+        self.cells.push(cells);
         self.paired.push(paired);
-        Ok(self.answers.len() - 1)
+        Ok(self.cells.len() - 1)
     }
 
     /// Estimates the *signal* variance of an attribute (worker noise
@@ -154,19 +216,23 @@ impl StatisticsCollector {
     /// answer columns: `Cov(ans_p, ans_q) = Var(a)` exactly for
     /// independent unbiased noise, with no noisy `− S_c/k` subtraction.
     /// Returns `None` with fewer than two answers per cell or two cells.
-    fn signal_variance(&self, idx: usize) -> Option<f64> {
-        let cells: Vec<&Vec<f64>> = self.answers[idx].iter().flatten().collect();
-        let m = cells.iter().map(|c| c.len()).min()?;
-        if m < 2 || cells.len() < 2 {
+    /// `xs`/`ys` are scratch columns.
+    fn signal_variance(&self, idx: usize, xs: &mut Vec<f64>, ys: &mut Vec<f64>) -> Option<f64> {
+        let m = self.cells(idx).map(|(c, _)| c.len()).min()?;
+        if m < 2 || self.cells(idx).count() < 2 {
             return None;
         }
         let mut total = 0.0;
         let mut pairs = 0usize;
         for p in 0..m {
             for q in (p + 1)..m {
-                let xs: Vec<f64> = cells.iter().map(|c| c[p]).collect();
-                let ys: Vec<f64> = cells.iter().map(|c| c[q]).collect();
-                total += streaming_covariance(&xs, &ys);
+                xs.clear();
+                ys.clear();
+                for (c, _) in self.cells(idx) {
+                    xs.push(c[p]);
+                    ys.push(c[q]);
+                }
+                total += streaming_covariance(xs, ys);
                 pairs += 1;
             }
         }
@@ -185,15 +251,37 @@ impl StatisticsCollector {
         attr: AttributeId,
         extra_k: usize,
     ) -> Result<(), DisqError> {
+        let paired = &self.paired[pool_attr];
+        let cells = &mut self.cells[pool_attr];
+        let asked = self.examples.iter().filter(|ex| paired[ex.target_idx]);
+        // Cells grow in place of the old buffer: each is copied, then
+        // extended by its fresh answers in example order.
+        let mut values = Vec::with_capacity(cells.values.len() + asked.count() * extra_k);
         let mut workers = Vec::with_capacity(extra_k);
-        for (ex, cell) in self.examples.iter().zip(&mut self.answers[pool_attr]) {
-            if let Some(answers) = cell {
+        let mut asking = Ok(());
+        let mut old_start = 0;
+        for (e, ex) in self.examples.iter().enumerate() {
+            let (start, old_end) = (values.len(), cells.bounds[e + 1]);
+            values.extend_from_slice(&cells.values[old_start..old_end]);
+            if paired[ex.target_idx] && asking.is_ok() {
                 // On budget exhaustion the answers asked so far stay in
-                // the cell, as one question at a time would leave them.
+                // the cell, as one question at a time would leave them,
+                // and the cells after it keep their old answers.
                 workers.clear();
-                platform.ask_values_attributed(ex.object, attr, extra_k, answers, &mut workers)?;
+                asking = platform.ask_values_attributed(
+                    ex.object,
+                    attr,
+                    extra_k,
+                    &mut values,
+                    &mut workers,
+                );
+                cells.means[e] = cell_mean(&values[start..]);
             }
+            cells.bounds[e + 1] = values.len();
+            old_start = old_end;
         }
+        cells.values = values;
+        asking?;
         Ok(())
     }
 
@@ -212,21 +300,20 @@ impl StatisticsCollector {
             idx < self.n_attrs() && idx < trio.n_attrs(),
             "unknown attribute"
         );
-        let avg = |cell: &Option<Vec<f64>>| -> Option<f64> {
-            cell.as_ref()
-                .map(|a| a.iter().sum::<f64>() / a.len() as f64)
-        };
+        let n = self.examples.len();
+        let (mut xs, mut ys) = (Vec::with_capacity(n), Vec::with_capacity(n));
 
         // Own variance and S_c first — the covariance coherence clamps
         // below need the refreshed variance.
-        let avgs: Vec<f64> = self.answers[idx].iter().filter_map(avg).collect();
-        let raw_var = streaming_variance(&avgs);
-        let cells: Vec<&Vec<f64>> = self.answers[idx].iter().flatten().collect();
-        if !cells.is_empty() {
-            let s_c = cells.iter().map(|a| var_est_k(a)).sum::<f64>() / cells.len() as f64;
-            let mean_k = cells.iter().map(|a| a.len()).sum::<usize>() as f64 / cells.len() as f64;
+        xs.extend(self.cells(idx).map(|(_, mean)| mean));
+        let raw_var = streaming_variance(&xs);
+        let n_cells = xs.len();
+        if n_cells > 0 {
+            let s_c = self.cells(idx).map(|(c, _)| var_est_k(c)).sum::<f64>() / n_cells as f64;
+            let mean_k =
+                self.cells(idx).map(|(c, _)| c.len()).sum::<usize>() as f64 / n_cells as f64;
             let own_var = if bias_correction {
-                self.signal_variance(idx)
+                self.signal_variance(idx, &mut xs, &mut ys)
                     .unwrap_or(raw_var - s_c / mean_k)
                     .max(0.05 * raw_var)
                     .max(1e-12)
@@ -239,19 +326,7 @@ impl StatisticsCollector {
         let own_var = trio.s_a(idx, idx);
 
         for t in 0..self.n_targets() {
-            if !self.paired[idx][t] {
-                continue;
-            }
-            let mut xs = Vec::new();
-            let mut ys = Vec::new();
-            for (i, ex) in self.examples.iter().enumerate() {
-                if ex.target_idx == t {
-                    if let Some(a) = avg(&self.answers[idx][i]) {
-                        xs.push(a);
-                        ys.push(ex.target_value);
-                    }
-                }
-            }
+            self.target_columns(idx, t, &mut xs, &mut ys);
             if xs.len() >= 2 {
                 let cov = streaming_covariance(&xs, &ys);
                 let se = covariance_se(&xs, &ys);
@@ -263,22 +338,43 @@ impl StatisticsCollector {
             if other == idx {
                 continue;
             }
-            let mut xs = Vec::new();
-            let mut ys = Vec::new();
-            for e in 0..self.examples.len() {
-                if let (Some(a), Some(b)) =
-                    (avg(&self.answers[idx][e]), avg(&self.answers[other][e]))
-                {
-                    xs.push(a);
-                    ys.push(b);
-                }
-            }
+            self.shared_columns(idx, other, &mut xs, &mut ys);
             if xs.len() >= 2 {
                 let cov = streaming_covariance(&xs, &ys);
                 trio.set_s_a(idx, other, clamp_cov(cov, own_var, trio.s_a(other, other)))?;
             }
         }
         Ok(())
+    }
+
+    /// Fills `xs` with attribute `idx`'s cell means on target `t`'s
+    /// examples and `ys` with their true target values (both empty when
+    /// the pair was not collected).
+    fn target_columns(&self, idx: usize, t: usize, xs: &mut Vec<f64>, ys: &mut Vec<f64>) {
+        xs.clear();
+        ys.clear();
+        if !self.paired[idx][t] {
+            return;
+        }
+        for (ex, &mean) in self.examples.iter().zip(&self.cells[idx].means) {
+            if ex.target_idx == t {
+                xs.push(mean);
+                ys.push(ex.target_value);
+            }
+        }
+    }
+
+    /// Fills `xs`/`ys` with the cell means of attributes `a`/`b` on the
+    /// examples both were asked on.
+    fn shared_columns(&self, a: usize, b: usize, xs: &mut Vec<f64>, ys: &mut Vec<f64>) {
+        xs.clear();
+        ys.clear();
+        for e in 0..self.examples.len() {
+            if self.has_cell(a, e) && self.has_cell(b, e) {
+                xs.push(self.cells[a].means[e]);
+                ys.push(self.cells[b].means[e]);
+            }
+        }
     }
 
     /// Pushes the trio entries for the most recently added attribute
@@ -296,11 +392,8 @@ impl StatisticsCollector {
     ) -> Result<(), DisqError> {
         assert_eq!(new_idx, trio.n_attrs(), "trio must grow in pool order");
         assert!(new_idx < self.n_attrs(), "collect answers before updating");
-
-        let avg = |cell: &Option<Vec<f64>>| -> Option<f64> {
-            cell.as_ref()
-                .map(|a| a.iter().sum::<f64>() / a.len() as f64)
-        };
+        let n = self.examples.len();
+        let (mut xs, mut ys) = (Vec::with_capacity(n), Vec::with_capacity(n));
 
         // S_o per target over that target's examples. The raw sample
         // covariance is soft-thresholded by `so_shrinkage` standard
@@ -309,20 +402,7 @@ impl StatisticsCollector {
         // attributes (winner's curse).
         let mut s_o = Vec::with_capacity(self.n_targets());
         for t in 0..self.n_targets() {
-            if !self.paired[new_idx][t] {
-                s_o.push(f64::NAN);
-                continue;
-            }
-            let mut xs = Vec::new();
-            let mut ys = Vec::new();
-            for (i, ex) in self.examples.iter().enumerate() {
-                if ex.target_idx == t {
-                    if let Some(a) = avg(&self.answers[new_idx][i]) {
-                        xs.push(a);
-                        ys.push(ex.target_value);
-                    }
-                }
-            }
+            self.target_columns(new_idx, t, &mut xs, &mut ys);
             if xs.len() < 2 {
                 s_o.push(f64::NAN);
             } else {
@@ -336,16 +416,7 @@ impl StatisticsCollector {
         // Covariance with every existing attribute over shared examples.
         let mut cov_with = Vec::with_capacity(new_idx);
         for i in 0..new_idx {
-            let mut xs = Vec::new();
-            let mut ys = Vec::new();
-            for e in 0..self.examples.len() {
-                if let (Some(a), Some(b)) =
-                    (avg(&self.answers[new_idx][e]), avg(&self.answers[i][e]))
-                {
-                    xs.push(a);
-                    ys.push(b);
-                }
-            }
+            self.shared_columns(new_idx, i, &mut xs, &mut ys);
             cov_with.push(if xs.len() < 2 {
                 0.0
             } else {
@@ -354,16 +425,13 @@ impl StatisticsCollector {
         }
 
         // Own variance (bias-corrected) and S_c.
-        let avgs: Vec<f64> = self.answers[new_idx].iter().filter_map(avg).collect();
-        let raw_var = streaming_variance(&avgs);
-        let var_ests: Vec<f64> = self.answers[new_idx]
-            .iter()
-            .filter_map(|c| c.as_ref().map(|a| var_est_k(a)))
-            .collect();
-        let s_c = if var_ests.is_empty() {
+        xs.clear();
+        xs.extend(self.cells(new_idx).map(|(_, mean)| mean));
+        let raw_var = streaming_variance(&xs);
+        let s_c = if xs.is_empty() {
             0.0
         } else {
-            var_ests.iter().sum::<f64>() / var_ests.len() as f64
+            self.cells(new_idx).map(|(c, _)| var_est_k(c)).sum::<f64>() / xs.len() as f64
         };
         // De-bias: Var(e.a^(k)) = Var(a) + S_c/k. The pairwise-covariance
         // estimator computes Var(a) directly without the noisy
@@ -371,7 +439,7 @@ impl StatisticsCollector {
         // Floor at 5% of the raw variance so a noisy estimate cannot
         // erase the attribute.
         let own_var = if bias_correction {
-            self.signal_variance(new_idx)
+            self.signal_variance(new_idx, &mut xs, &mut ys)
                 .unwrap_or(raw_var - s_c / k as f64)
                 .max(0.05 * raw_var)
                 .max(1e-12)
@@ -574,6 +642,74 @@ mod tests {
             .unwrap();
         coll.update_trio(&mut trio, i1, 2, true, 1.0).unwrap();
         assert_eq!(trio.s_a(0, 1), 0.0);
+    }
+
+    /// Every stored cell mean is `sum / len` of the cell's answers, bit
+    /// for bit, and exactly the paired cells exist.
+    fn assert_cells_consistent(coll: &StatisticsCollector) {
+        for a in 0..coll.n_attrs() {
+            for (e, ex) in coll.examples().iter().enumerate() {
+                let paired = coll.is_paired(a, ex.target_idx);
+                assert_eq!(coll.answers(a, e).is_some(), paired, "cell ({a}, {e})");
+                if let Some(cell) = coll.answers(a, e) {
+                    let want = cell.iter().sum::<f64>() / cell.len() as f64;
+                    assert_eq!(coll.cells[a].means[e].to_bits(), want.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cell_means_track_every_answer_change() {
+        let spec = pictures::spec();
+        let (bmi, age) = (spec.id_of("Bmi").unwrap(), spec.id_of("Age").unwrap());
+        let (heavy, weight) = (spec.id_of("Heavy").unwrap(), spec.id_of("Weight").unwrap());
+        let setup = |c: &mut SimulatedCrowd| {
+            let mut coll = StatisticsCollector::collect_examples(c, &[bmi, age], 30).unwrap();
+            coll.add_attribute(c, heavy, vec![true, false], 2).unwrap();
+            coll.add_attribute(c, weight, vec![true, true], 2).unwrap();
+            coll
+        };
+        let mut c = crowd();
+        let mut coll = setup(&mut c);
+        assert_cells_consistent(&coll);
+        coll.extend_answers(&mut c, 1, weight, 3).unwrap();
+        assert_cells_consistent(&coll);
+        assert!((0..60).all(|e| coll.answers(1, e).unwrap().len() == 5));
+
+        // A cap that runs out 25 numeric answers into the extension:
+        // eight cells get all three, the ninth one, the rest none.
+        let spent = crowd_spend(setup);
+        let cap = spent + Money::from_cents(0.4 * 25.5);
+        let spec = Arc::new(pictures::spec());
+        let pop = Population::sample(spec, 3_000, &mut StdRng::seed_from_u64(0)).unwrap();
+        let mut capped = SimulatedCrowd::new(pop, CrowdConfig::default(), Some(cap), 11);
+        let mut coll = setup(&mut capped);
+        let before: Vec<Vec<f64>> = (0..60)
+            .map(|e| coll.answers(1, e).unwrap().to_vec())
+            .collect();
+        let err = coll.extend_answers(&mut capped, 1, weight, 3).unwrap_err();
+        assert!(matches!(
+            err,
+            DisqError::Crowd(disq_crowd::CrowdError::BudgetExhausted { .. })
+        ));
+        assert_cells_consistent(&coll);
+        let lens: Vec<usize> = (0..60).map(|e| coll.answers(1, e).unwrap().len()).collect();
+        assert_eq!(lens, [vec![5; 8], vec![3], vec![2; 51]].concat());
+        for (e, old) in before.iter().enumerate() {
+            assert_eq!(
+                &coll.answers(1, e).unwrap()[..2],
+                old.as_slice(),
+                "cell {e}"
+            );
+        }
+    }
+
+    /// What `setup` spends on a fresh uncapped crowd.
+    fn crowd_spend(setup: impl Fn(&mut SimulatedCrowd) -> StatisticsCollector) -> Money {
+        let mut c = crowd();
+        setup(&mut c);
+        c.ledger().spent()
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   [`Money`]),
 //! * budget accounting with hard caps ([`BudgetLedger`]), and
 //! * the spam filtering the paper assumes is employed
-//!   ([`filter_spam`]).
+//!   ([`filter_spam_into`]).
 
 #![warn(missing_docs)]
 
@@ -41,7 +41,7 @@ pub use money::Money;
 pub use platform::{CrowdConfig, CrowdPlatform, SimulatedCrowd, ValueSource};
 pub use pricing::PricingModel;
 pub use question::QuestionKind;
-pub use spam::{filter_spam, filter_spam_into, SpamStats};
+pub use spam::{filter_spam_into, SpamStats};
 pub use worker::{
     WorkerConfig, WorkerId, WorkerLedger, WorkerModel, WorkerPool, WorkerProfile, WorkerTally,
 };

@@ -51,7 +51,7 @@ pub struct CrowdConfig {
     /// experiment).
     pub synonym_rate: f64,
     /// Probability that a value answer is uniform garbage instead of a
-    /// noisy estimate (caught downstream by [`crate::filter_spam`]).
+    /// noisy estimate (caught downstream by [`crate::filter_spam_into`]).
     pub spam_rate: f64,
     /// Worker pool configuration (identity provenance; the default —
     /// honoring `DISQ_WORKER_POOL` / `DISQ_WORKER_MODEL` — is a

@@ -43,20 +43,13 @@ impl SpamStats {
 }
 
 /// Removes outlier answers: keeps values within `k = 3.5` scaled MADs of
-/// the median. Returns the surviving answers in their original order.
-pub fn filter_spam(answers: &[f64]) -> Vec<f64> {
-    let mut scratch = Vec::new();
-    let mut kept = Vec::new();
-    filter_spam_into(answers, &mut scratch, &mut kept);
-    kept
-}
-
-/// Allocation-free [`filter_spam`]: survivors replace the contents of
-/// `kept` (original order), `scratch` is working space for the median
+/// the median. The survivors replace the contents of `kept`, in their
+/// original order; `scratch` is working space for the median
 /// computations. Once both buffers have grown to the batch size the call
 /// performs no heap allocation — this is the online estimation kernel's
-/// steady-state path. Returns the batch's [`SpamStats`] so audit trails
-/// can record the decision.
+/// steady-state path, and preprocessing aggregates its training rows the
+/// same way. Returns the batch's [`SpamStats`] so audit trails can
+/// record the decision.
 pub fn filter_spam_into(answers: &[f64], scratch: &mut Vec<f64>, kept: &mut Vec<f64>) -> SpamStats {
     kept.clear();
     if answers.len() < 4 {
@@ -102,6 +95,13 @@ fn median_via(xs: impl Iterator<Item = f64>, scratch: &mut Vec<f64>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The survivors of one batch, in fresh buffers.
+    fn filter_spam(answers: &[f64]) -> Vec<f64> {
+        let mut kept = Vec::new();
+        filter_spam_into(answers, &mut Vec::new(), &mut kept);
+        kept
+    }
 
     #[test]
     fn clean_batch_untouched() {

@@ -9,7 +9,8 @@
 //!
 //! [`RunReport::derived_counters`] re-derives the always-on
 //! [`Counter`] totals *from events alone*; for an offline (preprocessing)
-//! run these are bit-exact against the in-process [`RunSummary`] delta —
+//! run these are bit-exact against the in-process
+//! [`RunSummary`](disq_trace::RunSummary) delta —
 //! the end-to-end test proves it — which is what makes the report
 //! trustworthy: if the stream lost events, the totals would disagree.
 
@@ -268,7 +269,7 @@ impl RunReport {
     /// attribute was chosen, while a stop decision still emits an
     /// event). For offline runs — where every charged question crosses a
     /// `phase_spend` boundary — these equal the in-process
-    /// [`RunSummary`] delta bit-for-bit.
+    /// [`RunSummary`](disq_trace::RunSummary) delta bit-for-bit.
     pub fn derived_counters(&self) -> Vec<(Counter, u64)> {
         let kind_total = |kind: &str| -> u64 {
             self.phases

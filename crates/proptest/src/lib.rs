@@ -360,7 +360,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::{Range, RangeInclusive};
 
-    /// Length bounds for [`vec`].
+    /// Length bounds for [`vec()`].
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         min: usize,
@@ -392,7 +392,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

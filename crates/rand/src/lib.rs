@@ -37,7 +37,7 @@ impl<R: RngCore + ?Sized> RngCore for &mut R {
     }
 }
 
-/// Types that can be drawn uniformly by [`Rng::random`].
+/// Types that can be drawn uniformly by [`RngExt::random`].
 pub trait Standard: Sized {
     /// Draws one value from `rng`.
     fn from_rng<R: RngCore + ?Sized>(rng: &mut R) -> Self;
@@ -74,7 +74,7 @@ impl Standard for bool {
     }
 }
 
-/// Ranges usable with [`Rng::random_range`].
+/// Ranges usable with [`RngExt::random_range`].
 pub trait SampleRange<T> {
     /// Draws one value from the range.
     ///

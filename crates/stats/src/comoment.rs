@@ -11,6 +11,12 @@
 //! statistics can be folded chunk by chunk — or chunk-parallel — without
 //! ever materializing a row table or making a second pass.
 //!
+//! [`streaming_covariance`] and [`streaming_variance`] run the same
+//! recurrence for one pair (or one variable) on stack scalars, keeping
+//! only the means and the one co-moment they return: bit for bit what a
+//! `CoMomentMatrix::new(2)` (or `new(1)`) would report, with no heap
+//! block per call. Preprocessing calls them once per statistic.
+//!
 //! The streaming results agree with the two-pass batch formulas
 //! (`covariance`, `sample_variance`) to floating-point round-off, not bit
 //! for bit; the property tests in `proptests` pin the tolerance, with
@@ -164,30 +170,50 @@ impl CoMomentMatrix {
 }
 
 /// Streaming drop-in for [`covariance`](crate::covariance): one linear
-/// scan of two contiguous columns, no intermediate allocation beyond the
-/// fixed-size accumulator.
+/// scan of two contiguous columns on stack scalars. Bit-identical to
+/// `CoMomentMatrix::new(2)` fed the rows `(x, y)` and read at `(0, 1)`:
+/// the means and the `(1, 0)` co-moment take the same operations in the
+/// same order, and the two diagonal co-moments, which the covariance
+/// never reads, are skipped.
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
 pub fn streaming_covariance(xs: &[f64], ys: &[f64]) -> f64 {
     assert_eq!(xs.len(), ys.len(), "covariance length mismatch");
-    let mut acc = CoMomentMatrix::new(2);
-    let mut row = [0.0; 2];
+    let (mut n, mut mx, mut my, mut c) = (0u64, 0.0, 0.0, 0.0);
     for (&x, &y) in xs.iter().zip(ys) {
-        row[0] = x;
-        row[1] = y;
-        acc.push(&row);
+        n += 1;
+        let inv_n = 1.0 / n as f64;
+        let dx = x - mx;
+        mx += dx * inv_n;
+        let dy = y - my;
+        my += dy * inv_n;
+        c += dy * (x - mx);
     }
-    acc.covariance(0, 1)
+    if n < 2 {
+        0.0
+    } else {
+        c / (n - 1) as f64
+    }
 }
 
-/// Streaming drop-in for [`sample_variance`](crate::sample_variance).
+/// Streaming drop-in for [`sample_variance`](crate::sample_variance), on
+/// stack scalars: bit-identical to `CoMomentMatrix::new(1)`'s `(0, 0)`
+/// variance.
 pub fn streaming_variance(xs: &[f64]) -> f64 {
-    let mut acc = CoMomentMatrix::new(1);
+    let (mut n, mut m, mut c) = (0u64, 0.0, 0.0);
     for &x in xs {
-        acc.push(&[x]);
+        n += 1;
+        let inv_n = 1.0 / n as f64;
+        let d = x - m;
+        m += d * inv_n;
+        c += d * (x - m);
     }
-    acc.variance(0)
+    if n < 2 {
+        0.0
+    } else {
+        c / (n - 1) as f64
+    }
 }
 
 #[cfg(test)]

@@ -53,6 +53,26 @@ proptest! {
     }
 
     #[test]
+    fn streaming_helpers_are_bit_equal_to_the_matrix(
+        pairs in proptest::collection::vec((-1e3_f64..1e3, -1e3_f64..1e3), 64),
+    ) {
+        // Every prefix length 0..=64 of the drawn columns.
+        let xs: Vec<f64> = pairs.iter().map(|p| p.0).collect();
+        let ys: Vec<f64> = pairs.iter().map(|p| p.1).collect();
+        let mut pair = CoMomentMatrix::new(2);
+        let mut single = CoMomentMatrix::new(1);
+        for len in 0..=xs.len() {
+            if len > 0 {
+                pair.push(&[xs[len - 1], ys[len - 1]]);
+                single.push(&[xs[len - 1]]);
+            }
+            let (x, y) = (&xs[..len], &ys[..len]);
+            prop_assert_eq!(streaming_covariance(x, y).to_bits(), pair.covariance(0, 1).to_bits());
+            prop_assert_eq!(streaming_variance(x).to_bits(), single.variance(0).to_bits());
+        }
+    }
+
+    #[test]
     fn comoment_merge_of_arbitrary_splits_matches_one_shot(
         rows in proptest::collection::vec((-50.0_f64..50.0, -50.0_f64..50.0), 2..60),
         cuts in proptest::collection::vec(0usize..60, 0..4),

@@ -494,38 +494,25 @@ impl StatsTrio {
         Ok((self.target_var[target] - ev).max(0.0))
     }
 
-    /// FNV-1a hash over every stored statistic's raw bit pattern, plus the
-    /// dimensions. Any mutation — a pushed attribute, an overwritten
-    /// covariance, a re-estimated variance — changes the fingerprint, so
-    /// caches keyed by it (e.g. the dismantle-loss probe cache) invalidate
+    /// Hash over every stored statistic's raw bit pattern, plus the
+    /// dimensions, one whole 64-bit word per step:
+    /// `h ← (rotl(h, 5) ⊕ word) · K` with an odd `K`. Each step is a
+    /// bijection of `h` for a fixed word and of the word for a fixed
+    /// `h`, so changing any one stored value always changes the result.
+    /// Any mutation — a pushed attribute, an overwritten covariance, a
+    /// re-estimated variance — thus changes the fingerprint, and caches
+    /// keyed by it (e.g. the dismantle-loss probe cache) invalidate
     /// exactly when the trio changes. Distinct NaN payloads hash
     /// differently; the estimators only ever produce the canonical
     /// `f64::NAN`, so this never causes spurious misses in practice.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |bits: u64| {
-            for shift in [0u32, 8, 16, 24, 32, 40, 48, 56] {
-                h = (h ^ ((bits >> shift) & 0xff)).wrapping_mul(PRIME);
-            }
-        };
+        const K: u64 = 0x517c_c1b7_2722_0a95;
+        let mut h = 0u64;
+        let mut mix = |word: u64| h = (h.rotate_left(5) ^ word).wrapping_mul(K);
         mix(self.n_targets() as u64);
         mix(self.n_attrs() as u64);
-        for row in &self.s_o {
-            for &v in row {
-                mix(v.to_bits());
-            }
-        }
-        for row in &self.s_a {
-            for &v in row {
-                mix(v.to_bits());
-            }
-        }
-        for &v in &self.s_c {
-            mix(v.to_bits());
-        }
-        for &v in &self.target_var {
+        let rows = self.s_o.iter().chain(&self.s_a);
+        for v in rows.flatten().chain(&self.s_c).chain(&self.target_var) {
             mix(v.to_bits());
         }
         h
@@ -757,6 +744,17 @@ mod tests {
                 assert_ne!(seen[i], seen[j], "mutations {i} and {j} collided");
             }
         }
+        // Every step mixes a whole word bijectively, so flipping any one
+        // bit of any one stored value changes the hash.
+        let last = t.fingerprint();
+        for bit in 0..64 {
+            let v = t.s_o(0, 1);
+            t.set_s_o(0, 1, f64::from_bits(v.to_bits() ^ (1 << bit)))
+                .unwrap();
+            assert_ne!(t.fingerprint(), last, "flipping S_o bit {bit} went unseen");
+            t.set_s_o(0, 1, v).unwrap();
+        }
+        assert_eq!(t.fingerprint(), last);
     }
 
     #[test]

@@ -577,7 +577,7 @@ schema! {
             /// Sum of their squares (raw moments add exactly across reps).
             residual_sq: f64,
         },
-        /// A hierarchical span opened (see [`crate::span`]). Matched by
+        /// A hierarchical span opened (see [`crate::span`](mod@crate::span)). Matched by
         /// exactly one [`TraceEvent::SpanEnd`] with the same `id`.
         SpanStart = "span_start" {
             /// Process-unique span id.

@@ -4,7 +4,8 @@
 //! timer becomes a `disq_kernel_<name>_seconds` histogram whose `le`
 //! boundaries are the log₂ nanosecond buckets converted to seconds
 //! (cumulative, with the mandatory `+Inf`, `_sum` and `_count` series).
-//! The encoder is pure — [`crate::serve`] pairs it with a listener.
+//! The encoder is pure — the `disq-serve` daemon's `/metrics` route
+//! serves its output.
 
 use crate::metrics::{Counter, RunSummary, Timer, HIST_BUCKETS};
 use std::fmt::Write as _;

@@ -1,6 +1,6 @@
 //! Prometheus gauges for *current-state* observability.
 //!
-//! Counters (see [`crate::metrics`]) only go up; a component that owns
+//! Counters (see [`Counter`](crate::Counter)) only go up; a component that owns
 //! a level — a route's SLO compliance, a plan cache's size — publishes
 //! it as a Prometheus gauge. The owner renders its state at scrape time
 //! into a local [`GaugeSet`], so updates cost nothing between scrapes,

@@ -103,9 +103,9 @@ pub fn thread_allocs() -> u64 {
     ALLOC_COUNT.with(Cell::get)
 }
 
-/// Crowd questions charged on this thread so far, traced or not (see
-/// [`note_questions`]). Monotone within a thread; callers take deltas
-/// around a region of interest.
+/// Crowd questions charged on this thread so far, traced or not (every
+/// question-kind count adds to it). Monotone within a thread; callers
+/// take deltas around a region of interest.
 pub fn thread_questions() -> u64 {
     QUESTIONS.with(Cell::get)
 }
