@@ -30,6 +30,34 @@ impl fmt::Display for AttributeId {
     }
 }
 
+/// Longest key, in bytes, that [`AttributeRegistry::resolve`] normalizes
+/// on the stack.
+const STACK_KEY: usize = 64;
+
+/// [`AttributeRegistry::normalize_key`] of ASCII text, written into `buf`.
+/// `None` when `name` is not ASCII or its key does not fit.
+///
+/// For ASCII text the key is the whitespace-separated words, lowercased
+/// and joined by `_`: trimming is implied by the split, and lowercasing
+/// ASCII neither changes a byte's length nor makes it whitespace.
+fn normalize_ascii_key<'a>(name: &str, buf: &'a mut [u8]) -> Option<&'a str> {
+    if !name.is_ascii() {
+        return None;
+    }
+    let mut len = 0;
+    for word in name.split_whitespace() {
+        if len > 0 {
+            *buf.get_mut(len)? = b'_';
+            len += 1;
+        }
+        let dest = buf.get_mut(len..len + word.len())?;
+        dest.copy_from_slice(word.as_bytes());
+        dest.make_ascii_lowercase();
+        len += word.len();
+    }
+    std::str::from_utf8(&buf[..len]).ok()
+}
+
 /// Interns attribute names and resolves synonyms to canonical attributes.
 #[derive(Debug, Clone, Default)]
 pub struct AttributeRegistry {
@@ -77,8 +105,17 @@ impl AttributeRegistry {
     }
 
     /// Resolves free text (canonical name or synonym) to an id.
+    ///
+    /// ASCII text whose key fits in 64 bytes is normalized on the stack,
+    /// so resolving it allocates nothing; other text goes through
+    /// [`AttributeRegistry::normalize_key`].
     pub fn resolve(&self, name: &str) -> Option<AttributeId> {
-        self.by_key.get(&Self::normalize_key(name)).copied()
+        let mut buf = [0; STACK_KEY];
+        match normalize_ascii_key(name, &mut buf) {
+            Some(key) => self.by_key.get(key),
+            None => self.by_key.get(&Self::normalize_key(name)),
+        }
+        .copied()
     }
 
     /// Canonical display name for an id.
@@ -165,6 +202,48 @@ mod tests {
             AttributeRegistry::normalize_key("  Good   Facial\tFeatures "),
             "good_facial_features"
         );
+    }
+
+    #[test]
+    fn stack_key_matches_normalize_key() {
+        let long = "word ".repeat(20);
+        for name in [
+            "Bmi",
+            "  Good   Facial\tFeatures ",
+            "Number_Of_Eggs",
+            "MiXeD cAsE\n\r\x0bvertical\x0ctab",
+            "\t lead and trail \t",
+            "__under  _scores_",
+            "",
+            "   ",
+            "a",
+            &"x".repeat(STACK_KEY),
+        ] {
+            let mut buf = [0; STACK_KEY];
+            assert_eq!(
+                normalize_ascii_key(name, &mut buf),
+                Some(AttributeRegistry::normalize_key(name).as_str()),
+                "{name:?}"
+            );
+        }
+        // Too long for the stack, or not ASCII: the allocating path.
+        for name in [
+            long.as_str(),
+            &"x".repeat(STACK_KEY + 1),
+            "Café Crème",
+            "a\u{a0}b",
+        ] {
+            assert_eq!(
+                normalize_ascii_key(name, &mut [0; STACK_KEY]),
+                None,
+                "{name:?}"
+            );
+        }
+        let mut reg = AttributeRegistry::new();
+        let cafe = reg.register("Café Crème");
+        assert_eq!(reg.resolve("  CAFÉ   crème"), Some(cafe));
+        let words = reg.register(&long);
+        assert_eq!(reg.resolve(&long.to_uppercase()), Some(words));
     }
 
     #[test]

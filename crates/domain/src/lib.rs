@@ -37,6 +37,6 @@ mod proptests;
 
 pub use attribute::{AttributeId, AttributeRegistry};
 pub use object::{DataTable, ObjectId};
-pub use population::{fast_forward_sampling, Population, SAMPLE_CHUNK};
+pub use population::Population;
 pub use query::{ParseError, Predicate, PredicateOp, Query};
 pub use spec::{AttributeKind, AttributeSpec, DomainError, DomainSpec, DomainSpecBuilder};

@@ -17,29 +17,41 @@
 //! ([`Population::from_values`]) and point access ([`Population::value`])
 //! are kept as shims over the column store.
 //!
-//! # Chunked sampling
+//! # Blocked sampling
 //!
-//! [`Population::sample`] materializes objects in fixed-size chunks
-//! ([`SAMPLE_CHUNK`]) via [`Population::sample_chunked`]: each object is
-//! drawn into a small reusable row buffer and scattered into the columns,
-//! so a 10⁶–10⁷-object world never builds an intermediate row table. The
-//! RNG is consumed strictly per object in sequence, which makes the chunk
-//! size unobservable: `sample_chunked` is bit-identical to `sample` for
-//! *every* chunk size. To start sampling at object `k` (e.g. to fill one
-//! chunk of a larger world elsewhere), advance the RNG over the first `k`
-//! objects with [`fast_forward_sampling`]; the polar-method normal
-//! sampler consumes a data-dependent number of uniforms per variate, so
-//! the fast-forward replays draws rather than jumping the stream.
+//! [`Population::sample`] draws objects in blocks of `SAMPLE_BLOCK`
+//! through [`MultivariateNormal::sample_block`], which hands each block
+//! over one attribute at a time, so every column grows by a contiguous
+//! `extend` and a 10⁶–10⁷-object world never builds a row table. The
+//! block draw consumes the RNG exactly as drawing one object after
+//! another would, so the block size is unobservable: every block size
+//! gives the same world, bit for bit, and a crate-private hook lets the
+//! tests check that.
+//!
+//! # Certified bisection
+//!
+//! Boolean sharpening (see [`Population::sample`]) bisects a mix weight
+//! `λ` over 40 steps, and each step compares a full pass over the column,
+//! `sc_at(λ)`, with the target. That pass is one long chain of dependent
+//! additions, and 41 of them per column were most of the sampling time.
+//! Once the column's threshold is known, four group sums taken in one
+//! pass give the same quantity in closed form for every `λ`, and a
+//! rigorous bound on the rounding of both evaluations decides most steps
+//! without the pass. A step the bound cannot decide, near the root, runs
+//! the exact pass as before, so every decision, `λ` and column stays bit
+//! for bit what the 41 exact passes gave. `Certificate` derives the bound.
 
 use crate::{AttributeId, AttributeKind, DomainError, DomainSpec, ObjectId};
 use disq_math::MultivariateNormal;
 use rand::Rng;
 use std::sync::Arc;
 
-/// Default number of objects materialized per chunk by
-/// [`Population::sample`]. Large enough to amortize the scatter loop,
-/// small enough that the in-flight chunk state stays cache-resident.
-pub const SAMPLE_CHUNK: usize = 4096;
+/// Objects drawn per block by [`Population::sample`]. The block draw
+/// needs `3 · SAMPLE_BLOCK · attributes` scratch values, 26 kB for the
+/// 17-attribute domains: small beside a world's columns even at 2,000
+/// objects, and cache-resident. 64, 128 and 256 sampled 10⁶ objects
+/// equally fast.
+const SAMPLE_BLOCK: usize = 64;
 
 /// Column-major value storage: `columns[attribute][object]`.
 #[derive(Debug)]
@@ -74,43 +86,41 @@ impl Population {
         n: usize,
         rng: &mut R,
     ) -> Result<Self, DomainError> {
-        Population::sample_chunked(spec, n, SAMPLE_CHUNK, rng)
+        Population::sample_in_blocks(spec, n, SAMPLE_BLOCK, rng)
     }
 
-    /// Samples `n` objects in chunks of `chunk_size`, producing a
-    /// population bit-identical to [`Population::sample`] for every
-    /// chunk size (the RNG is consumed strictly per object, so chunking
-    /// only changes write buffering, never the value stream). A
-    /// `chunk_size` of zero is treated as one.
-    pub fn sample_chunked<R: Rng + ?Sized>(
+    /// [`Population::sample`] with the objects drawn `block` at a time
+    /// (zero counts as one). Every block size gives the same population;
+    /// crate-private so the tests can vary what `sample` fixes.
+    pub(crate) fn sample_in_blocks<R: Rng + ?Sized>(
         spec: Arc<DomainSpec>,
         n: usize,
-        chunk_size: usize,
+        block: usize,
         rng: &mut R,
     ) -> Result<Self, DomainError> {
-        let chunk_size = chunk_size.max(1);
+        let block = block.max(1);
         let mvn = MultivariateNormal::new(spec.means(), &spec.covariance_matrix())?;
-        let n_attrs = spec.n_attrs();
-        let mut columns: Vec<Vec<f64>> = (0..n_attrs).map(|_| Vec::with_capacity(n)).collect();
+        let mut columns: Vec<Vec<f64>> =
+            (0..spec.n_attrs()).map(|_| Vec::with_capacity(n)).collect();
         let boolean: Vec<bool> = spec
             .attribute_ids()
             .map(|a| spec.attr(a).kind == AttributeKind::Boolean)
             .collect();
-        let mut z = vec![0.0; n_attrs];
-        let mut row = vec![0.0; n_attrs];
+        // One scratch buffer: the block draw's, then sharpening's.
+        let mut scratch = Vec::new();
         let mut done = 0;
         while done < n {
-            let count = chunk_size.min(n - done);
-            for _ in 0..count {
-                mvn.sample_into(rng, &mut z, &mut row);
-                for ((&val, col), &is_bool) in row.iter().zip(&mut columns).zip(&boolean) {
-                    col.push(if is_bool { val.clamp(0.0, 1.0) } else { val });
+            let count = block.min(n - done);
+            mvn.sample_block(rng, count, &mut scratch, |i, values| {
+                if boolean[i] {
+                    columns[i].extend(values.iter().map(|v| v.clamp(0.0, 1.0)));
+                } else {
+                    columns[i].extend_from_slice(values);
                 }
-            }
+            });
             done += count;
         }
         if n >= 8 {
-            let mut scratch = Vec::new();
             for a in spec.attribute_ids() {
                 let s = spec.attr(a);
                 if s.kind == AttributeKind::Boolean {
@@ -198,23 +208,6 @@ impl Population {
     }
 }
 
-/// Advances `rng` exactly as sampling `objects` objects of `spec` would
-/// (see [`Population::sample`]), without materializing anything. This is
-/// the per-chunk fast-forward: sampling a world's objects `k..n` equals
-/// fast-forwarding over `k` objects and sampling `n − k`, value for
-/// value, for the pre-sharpening stream (boolean sharpening is a
-/// whole-column pass over the assembled world and is applied after all
-/// chunks are in place).
-pub fn fast_forward_sampling<R: Rng + ?Sized>(
-    spec: &DomainSpec,
-    objects: usize,
-    rng: &mut R,
-) -> Result<(), DomainError> {
-    let mvn = MultivariateNormal::new(spec.means(), &spec.covariance_matrix())?;
-    mvn.fast_forward(rng, objects);
-    Ok(())
-}
-
 /// Mixes each propensity toward a hard 0/1 threshold (at the value that
 /// preserves the column mean) until `mean(q(1−q))` matches `target_sc`.
 /// The mix weight is found by bisection; columns already at or below the
@@ -223,36 +216,26 @@ pub fn fast_forward_sampling<R: Rng + ?Sized>(
 /// The threshold is one order statistic, so it is selected in O(n), and
 /// each object's hard 0/1 target is recomputed from it where needed. The
 /// result stays bit-identical to a full sort with a stored target (the
-/// test reference `sharpen_by_sorting`).
+/// test reference `sharpen_by_sorting`). Each bisection step asks the
+/// [`Certificate`] first and runs the exact pass [`sc_at`] only when the
+/// certificate cannot decide, so the steps, and the column, are those of
+/// the exact passes alone.
 fn sharpen_boolean_column(column: &mut [f64], target_sc: f64, scratch: &mut Vec<f64>) {
-    let n = column.len();
-    let mean_q = column.iter().sum::<f64>() / n as f64;
-    // Threshold at the (1 − mean)-quantile keeps the fraction of "hard
-    // yes" objects equal to the mean propensity.
-    let idx = (((1.0 - mean_q) * n as f64) as usize).min(n - 1);
-    scratch.clear();
-    scratch.extend_from_slice(column);
-    let (_, &mut threshold, _) =
-        scratch.select_nth_unstable_by(idx, |a, b| a.partial_cmp(b).unwrap());
-    let hard = |q: f64| f64::from(q >= threshold);
-
-    let sc_at = |lambda: f64| -> f64 {
-        column
-            .iter()
-            .map(|&q| {
-                let m = (1.0 - lambda) * q + lambda * hard(q);
-                m * (1.0 - m)
-            })
-            .sum::<f64>()
-            / n as f64
+    let threshold = select_threshold(column, scratch);
+    let certificate = Certificate::new(column, threshold, target_sc);
+    let exceeds = |lambda: f64| {
+        certificate
+            .as_ref()
+            .and_then(|c| c.exceeds(lambda))
+            .unwrap_or_else(|| sc_at(column, threshold, lambda) > target_sc)
     };
-    if sc_at(0.0) <= target_sc {
+    if !exceeds(0.0) {
         return; // already agreeable enough
     }
     let (mut lo, mut hi) = (0.0_f64, 1.0_f64);
     for _ in 0..40 {
         let mid = 0.5 * (lo + hi);
-        if sc_at(mid) > target_sc {
+        if exceeds(mid) {
             lo = mid;
         } else {
             hi = mid;
@@ -260,7 +243,170 @@ fn sharpen_boolean_column(column: &mut [f64], target_sc: f64, scratch: &mut Vec<
     }
     let lambda = 0.5 * (lo + hi);
     for q in column.iter_mut() {
-        *q = (1.0 - lambda) * *q + lambda * hard(*q);
+        *q = (1.0 - lambda) * *q + lambda * f64::from(*q >= threshold);
+    }
+}
+
+/// The column's hard-0/1 threshold: its `(1 − mean)`-quantile, which
+/// keeps the fraction of "hard yes" objects equal to the mean propensity.
+/// Selected on a copy in `scratch`; `column` must not be empty.
+fn select_threshold(column: &[f64], scratch: &mut Vec<f64>) -> f64 {
+    let n = column.len();
+    let mean_q = column.iter().sum::<f64>() / n as f64;
+    let idx = (((1.0 - mean_q) * n as f64) as usize).min(n - 1);
+    scratch.clear();
+    scratch.extend_from_slice(column);
+    let (_, &mut threshold, _) =
+        scratch.select_nth_unstable_by(idx, |a, b| a.partial_cmp(b).unwrap());
+    threshold
+}
+
+/// The exact pass: `mean(m(1−m))` over the column mixed with weight
+/// `lambda` toward its hard 0/1 target, `m = (1−λ)·q + λ·[q ≥ τ]`, summed
+/// left to right. Every bisection decision is this value's comparison
+/// with the target.
+fn sc_at(column: &[f64], threshold: f64, lambda: f64) -> f64 {
+    column
+        .iter()
+        .map(|&q| {
+            let m = (1.0 - lambda) * q + lambda * f64::from(q >= threshold);
+            m * (1.0 - m)
+        })
+        .sum::<f64>()
+        / column.len() as f64
+}
+
+/// Unit roundoff of `f64`, `u = 2⁻⁵³`.
+const U: f64 = f64::EPSILON / 2.0;
+
+/// Decides `sc_at(column, τ, λ) > target` for a bisection midpoint `λ`
+/// from four group sums, or declines.
+///
+/// **Closed form.** Let `a = 1 − λ`, exact because a midpoint has at most
+/// 41 fractional bits. With group 0 the objects `q < τ` and group 1 the
+/// objects `q ≥ τ`, the exact pass sums `m(1−m)` with `m = a·q` in group
+/// 0 and `m = 1 − a·(1−q)` in group 1. In exact arithmetic that sum is
+///
+/// `R(λ) = a·Σ₀q − a²·Σ₀q² + a²·Σ₁q(1−q) + a·λ·Σ₁(1−q)`,
+///
+/// and `M(λ)`, the same four terms added in absolute value, bounds it.
+/// [`Certificate::new`] takes the four sums in one pass; each call
+/// evaluates `R̂` and `M̂` from them in floating point.
+///
+/// **Bound.** With `γ_k = k·u/(1 − k·u)` (Higham, *Accuracy and
+/// Stability of Numerical Algorithms*, §3.1 and §4.2) and `T` the exact
+/// pass's sum before its division by `n`:
+///
+/// * `|R̂ − R| ≤ γ_{⌈n/4⌉+9}·M`: each of `R`'s elementary products
+///   passes through at most `⌈n/4⌉ + 9` roundings: two per element,
+///   `⌈n/4⌉ + 2` in its group sum (four lanes of at most `⌈n/4⌉` terms,
+///   then the lanes), `a²` or `a·λ`, the coefficient product and three in
+///   the four-term sum;
+/// * `|T − R| ≤ γ_{n+2}·M + 2.01·u·n`: the left-to-right sum of `n`
+///   non-negative terms adds `γ_{n−1}` relative error; each group-0 term
+///   is within `γ_3·a·q` of its exact value, and each group-1 term within
+///   `γ_2` of it relative plus `(1 + γ_2)(2 + u)·u` absolute, because
+///   `1 − m` there is computed from an `m` rounded near 1;
+/// * `M ≤ M̂/(1 − γ_{⌈n/4⌉+9})`, and products that underflow add at most
+///   `2⁻¹⁰⁷⁵` each, a few per element, far below `0.01·u·n`.
+///
+/// For `8 ≤ n ≤ 2⁴⁰`, `γ_{⌈n/4⌉+9} + γ_{n+2} ≤ 1.54·γ_{n+6}`, so
+/// `|R̂ − T| ≤ 1.6·γ_{n+6}·M̂ + 2.02·u·n`. The certificate uses
+/// `B = 2·γ_{n+6}·M̂ + 3·u·n`, which still covers that after the few
+/// roundings of evaluating `B` itself.
+///
+/// **Decision.** It answers "greater" iff `R̂ − B > n·target·(1 + 2⁻⁵⁰)`
+/// and "not greater" iff `R̂ + B < n·target·(1 − 2⁻⁵⁰)`, each side
+/// evaluated in floating point. Counting the roundings of those two
+/// comparisons, "greater" implies `T ≥ n·target·(1 + 3u)`, so the pass's
+/// `T / n` rounds above the target; "not greater" implies
+/// `T < n·target·(1 − 3u)`, so it rounds to at most the target. A normal
+/// target keeps `T / n` out of the subnormal range where this matters;
+/// other targets, and columns outside `8..=2⁴⁰`, get no certificate.
+struct Certificate {
+    /// `Σ₀q`, `Σ₀q²`, `Σ₁q(1−q)` and `Σ₁(1−q)`.
+    sums: [f64; 4],
+    /// `γ_{n+6}`.
+    gamma: f64,
+    /// `3·u·n`.
+    absolute: f64,
+    /// `n·target·(1 + 2⁻⁵⁰)`: `R̂ − B` above it certifies "greater".
+    above: f64,
+    /// `n·target·(1 − 2⁻⁵⁰)`: `R̂ + B` below it certifies "not greater".
+    below: f64,
+}
+
+impl Certificate {
+    /// Takes the group sums of `column`, propensities in `[0, 1]`, around
+    /// `threshold`, or returns `None` where the bound does not hold (see
+    /// the type's docs).
+    fn new(column: &[f64], threshold: f64, target_sc: f64) -> Option<Self> {
+        let n = column.len();
+        let bounded =
+            (8..=1 << 40).contains(&(n as u64)) && target_sc.is_normal() && target_sc > 0.0;
+        if !bounded {
+            return None;
+        }
+        // Branch-free over four interleaved lanes, so the pass is not
+        // one chain of dependent additions. Multiplying by the 0/1 target
+        // is exact, so a term meets only the roundings the bound counts.
+        let add = |sums: &mut [f64; 4], q: f64| {
+            let hard = f64::from(q >= threshold);
+            let (q0, c1) = ((1.0 - hard) * q, hard * (1.0 - q));
+            sums[0] += q0;
+            sums[1] += q0 * q0;
+            sums[2] += q * c1;
+            sums[3] += c1;
+        };
+        let mut lanes = [[0.0; 4]; 4];
+        let mut chunks = column.chunks_exact(lanes.len());
+        for chunk in &mut chunks {
+            for (sums, &q) in lanes.iter_mut().zip(chunk) {
+                add(sums, q);
+            }
+        }
+        for (sums, &q) in lanes.iter_mut().zip(chunks.remainder()) {
+            add(sums, q);
+        }
+        let sums = lanes.iter().fold([0.0; 4], |acc, lane| {
+            std::array::from_fn(|j| acc[j] + lane[j])
+        });
+        let n = n as f64;
+        let k = (n + 6.0) * U;
+        let n_target = n * target_sc;
+        let slack = 8.0 * U;
+        Some(Certificate {
+            sums,
+            gamma: k / (1.0 - k),
+            absolute: 3.0 * U * n,
+            above: n_target * (1.0 + slack),
+            below: n_target * (1.0 - slack),
+        })
+    }
+
+    /// `Some(sc_at(column, τ, lambda) > target)` where the bound decides
+    /// it, `None` where only the exact pass can. `lambda` must be `0` or
+    /// a bisection midpoint, so that `1 − lambda` is exact.
+    fn exceeds(&self, lambda: f64) -> Option<bool> {
+        let a = 1.0 - lambda;
+        let (a2, a_lambda) = (a * a, a * lambda);
+        let [below_q, below_q2, above_qc, above_c] = self.sums;
+        let terms = [
+            a * below_q,
+            a2 * below_q2,
+            a2 * above_qc,
+            a_lambda * above_c,
+        ];
+        let r = terms[0] - terms[1] + terms[2] + terms[3];
+        let m = terms[0] + terms[1] + terms[2] + terms[3];
+        let bound = 2.0 * self.gamma * m + self.absolute;
+        if r - bound > self.above {
+            Some(true)
+        } else if r + bound < self.below {
+            Some(false)
+        } else {
+            None
+        }
     }
 }
 
@@ -281,7 +427,7 @@ mod tests {
     use crate::{AttributeSpec, DomainSpecBuilder};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     /// Reference sharpening: a full sort for the order statistic and a
     /// materialized `hard` column. [`sharpen_boolean_column`] must match
@@ -352,7 +498,7 @@ mod tests {
             second in propensity_column(),
             target_sc in 0.0_f64..0.3,
         ) {
-            // One scratch across both columns, as `sample_chunked` reuses
+            // One scratch across both columns, as `sample_in_blocks` reuses
             // it; targets above 0.25 leave every column untouched.
             let mut scratch = Vec::new();
             for col in [first, second] {
@@ -364,6 +510,74 @@ mod tests {
                 prop_assert_eq!(bits(&got), bits(&want));
             }
         }
+
+        #[test]
+        fn certified_decisions_agree_with_the_exact_pass(
+            col in propensity_column(),
+            target_sc in 0.0_f64..0.3,
+            root in 1u64..1 << 20,
+        ) {
+            certified_steps(&col, target_sc);
+            // A target equal to the column's own S_c at a midpoint λ puts
+            // the root on the bisection path, where R̂ lands within the
+            // bound of the target and the certificate must decline.
+            let threshold = select_threshold(&col, &mut Vec::new());
+            let lambda = root as f64 / (1u64 << 20) as f64;
+            certified_steps(&col, sc_at(&col, threshold, lambda));
+        }
+    }
+
+    /// Walks the bisection of [`sharpen_boolean_column`] with every step
+    /// decided by the exact pass, asserts that each decision the
+    /// certificate makes on the way is the exact one, and returns how
+    /// many steps it decided out of the steps visited.
+    fn certified_steps(column: &[f64], target_sc: f64) -> (usize, usize) {
+        let threshold = select_threshold(column, &mut Vec::new());
+        let certificate = Certificate::new(column, threshold, target_sc);
+        let (mut decided, mut visited) = (0, 0);
+        let mut exceeds = |lambda: f64| {
+            let exact = sc_at(column, threshold, lambda) > target_sc;
+            if let Some(certified) = certificate.as_ref().and_then(|c| c.exceeds(lambda)) {
+                assert_eq!(certified, exact, "λ {lambda}, target {target_sc}");
+                decided += 1;
+            }
+            visited += 1;
+            exact
+        };
+        if exceeds(0.0) {
+            let (mut lo, mut hi) = (0.0_f64, 1.0_f64);
+            for _ in 0..40 {
+                let mid = 0.5 * (lo + hi);
+                if exceeds(mid) {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+        }
+        (decided, visited)
+    }
+
+    #[test]
+    fn certificate_decides_the_steps_far_from_the_root() {
+        // 10⁴ spread propensities, target well below their S_c: all 41
+        // steps are visited, and only the last few, within the bound of
+        // the root, need the exact pass.
+        let col: Vec<f64> = (0..10_000)
+            .map(|i| (0.3 + i as f64 * 0.618_033_988_749_895).fract())
+            .collect();
+        let (decided, visited) = certified_steps(&col, 0.05);
+        assert_eq!(visited, 41);
+        assert!(decided >= 25, "certificate decided {decided} of 41");
+    }
+
+    #[test]
+    fn certificate_declines_targets_it_cannot_bound() {
+        let col = [0.1, 0.4, 0.5, 0.6, 0.9, 0.2, 0.7, 0.3];
+        for target in [0.0, f64::MIN_POSITIVE / 2.0, -0.1, f64::INFINITY, f64::NAN] {
+            assert!(Certificate::new(&col, 0.5, target).is_none());
+        }
+        assert!(Certificate::new(&col, 0.5, f64::MIN_POSITIVE).is_some());
     }
 
     fn spec() -> Arc<DomainSpec> {
@@ -372,17 +586,6 @@ mod tests {
                 .attribute(AttributeSpec::numeric("X", 10.0, 2.0, 0.5))
                 .attribute(AttributeSpec::numeric("Y", -5.0, 1.0, 0.5))
                 .attribute(AttributeSpec::boolean("B", 0.5, 0.2))
-                .correlation("X", "Y", 0.8)
-                .build()
-                .unwrap(),
-        )
-    }
-
-    fn numeric_spec() -> Arc<DomainSpec> {
-        Arc::new(
-            DomainSpecBuilder::new("numeric")
-                .attribute(AttributeSpec::numeric("X", 10.0, 2.0, 0.5))
-                .attribute(AttributeSpec::numeric("Y", -5.0, 1.0, 0.5))
                 .correlation("X", "Y", 0.8)
                 .build()
                 .unwrap(),
@@ -464,38 +667,26 @@ mod tests {
     }
 
     #[test]
-    fn sample_chunked_bit_identical_for_all_chunk_sizes() {
+    fn every_block_size_gives_the_same_world() {
         let s = spec();
-        let n = 100;
-        let mut rng = StdRng::seed_from_u64(77);
-        let serial = Population::sample(Arc::clone(&s), n, &mut rng).unwrap();
-        for chunk in [0usize, 1, 3, 7, 64, 99, 100, 105, 4096] {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for n in [0usize, 5, 100, 600] {
             let mut rng = StdRng::seed_from_u64(77);
-            let chunked = Population::sample_chunked(Arc::clone(&s), n, chunk, &mut rng).unwrap();
-            for a in s.attribute_ids() {
-                assert_eq!(
-                    serial.column(a),
-                    chunked.column(a),
-                    "chunk {chunk}, attr {a:?}"
-                );
+            let want = Population::sample(Arc::clone(&s), n, &mut rng).unwrap();
+            let next = rng.next_u64();
+            for block in [1, 3, 7, SAMPLE_BLOCK, n, n + 5] {
+                let mut rng = StdRng::seed_from_u64(77);
+                let got = Population::sample_in_blocks(Arc::clone(&s), n, block, &mut rng).unwrap();
+                for a in s.attribute_ids() {
+                    assert_eq!(
+                        bits(want.column(a)),
+                        bits(got.column(a)),
+                        "n {n}, block {block}, attr {a:?}"
+                    );
+                }
+                // The RNG lands on the same stream position too.
+                assert_eq!(rng.next_u64(), next, "n {n}, block {block}");
             }
-        }
-    }
-
-    #[test]
-    fn fast_forward_reaches_tail_of_serial_stream() {
-        // Numeric-only spec: no sharpening, so the sampled columns ARE the
-        // raw per-chunk stream. Sampling objects k..n after a fast-forward
-        // over k objects must reproduce the serial tail bit for bit.
-        let s = numeric_spec();
-        let (n, k) = (50usize, 20usize);
-        let mut rng = StdRng::seed_from_u64(5);
-        let full = Population::sample(Arc::clone(&s), n, &mut rng).unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
-        fast_forward_sampling(&s, k, &mut rng).unwrap();
-        let tail = Population::sample(Arc::clone(&s), n - k, &mut rng).unwrap();
-        for a in s.attribute_ids() {
-            assert_eq!(&full.column(a)[k..], tail.column(a), "attr {a:?}");
         }
     }
 

@@ -105,8 +105,8 @@ proptest! {
     }
 
     #[test]
-    fn sample_chunked_matches_sample_for_any_chunk_size(
-        chunk in 1usize..70,
+    fn sample_in_blocks_matches_sample_for_any_block_size(
+        block in 1usize..70,
         n in 0usize..60,
         seed in 0u64..200,
     ) {
@@ -122,10 +122,10 @@ proptest! {
         let mut a = rand::rngs::StdRng::seed_from_u64(seed);
         let mut b = rand::rngs::StdRng::seed_from_u64(seed);
         let serial = Population::sample(std::sync::Arc::clone(&spec), n, &mut a).unwrap();
-        let chunked =
-            Population::sample_chunked(std::sync::Arc::clone(&spec), n, chunk, &mut b).unwrap();
+        let blocked =
+            Population::sample_in_blocks(std::sync::Arc::clone(&spec), n, block, &mut b).unwrap();
         for attr in spec.attribute_ids() {
-            prop_assert_eq!(serial.column(attr), chunked.column(attr));
+            prop_assert_eq!(serial.column(attr), blocked.column(attr));
         }
         // The RNGs must land on the same stream position too.
         prop_assert_eq!(rand::RngCore::next_u64(&mut a), rand::RngCore::next_u64(&mut b));

@@ -11,8 +11,12 @@
 //!
 //! Each bound is half the count of the layout that kept one `Vec` per
 //! answer cell and per training row (9,214 and 8,631 calls for the two
-//! cells below); the flat layout makes 1,302 and 785. The count is
+//! cells below); the flat layout makes 1,302 and 785, and 801 and 668
+//! once resolving an attribute name stopped allocating. The count is
 //! deterministic: the same cell repeats it exactly.
+//!
+//! Resolving an ASCII attribute name, which the simulated crowd does for
+//! every verification question, allocates nothing.
 
 use disq::core::{preprocess, DisqConfig};
 use disq::crowd::{CrowdConfig, Money, PricingModel, SimulatedCrowd};
@@ -63,4 +67,27 @@ fn fig1_cells_preprocess_within_their_allocation_budget() {
             "{targets:?}: preprocess made {calls} allocation calls (budget {bound})"
         );
     }
+}
+
+#[test]
+fn resolving_ascii_names_allocates_nothing() {
+    let spec = pictures::spec();
+    // Canonical names, synonyms and junk phrases, in any case and spacing.
+    let names = [
+        "Bmi",
+        "  shoe   SIZE ",
+        "Gray_Hair",
+        "grey hair",
+        "\tElderly",
+        "fit looking",
+        "background color",
+        "number of vowels in the name",
+        "Mood Of The Photographer",
+        "",
+    ];
+    let before = disq::trace::thread_allocs();
+    let resolved = names.iter().filter(|n| spec.id_of(n).is_some()).count();
+    let calls = disq::trace::thread_allocs() - before;
+    assert_eq!(resolved, 6);
+    assert_eq!(calls, 0, "id_of made {calls} allocation calls");
 }
