@@ -4,10 +4,18 @@
 //! The `(b, l)` plan travels together with the statistics trio, the
 //! budget distribution and the diagnostics, so a restarted daemon (or
 //! any later online process) warm-starts with *exactly* the state the
-//! original `preprocess` run produced. This module serializes the full
-//! output through the hand-rolled bit-exact JSON layer
-//! ([`disq_trace::json`]) under a version-stamped envelope keyed by
+//! original `preprocess` run produced. This module stores the full
+//! output as JSON under a version-stamped envelope keyed by
 //! `(domain, attribute, seed)`.
+//!
+//! **One declaration per record.** Each record (envelope, output, plan,
+//! planned attribute, regression, stats) is declared once below with
+//! [`disq_trace::record!`], which derives its encoder and its decoder
+//! from the member list, in key order; the trio's record sits beside
+//! `StatsTrio`. Members cross through [`disq_trace::json::Field`]:
+//! attribute ids as integers, kinds as `"numeric"`/`"boolean"`, money
+//! as integer milli-cents, the trio as rows through `from_parts`, and
+//! counts as integers no larger than `u32::MAX` (never wrapped).
 //!
 //! **Byte-identity contract**: `output_to_json ∘ output_from_json ∘
 //! output_to_json` is the identity on strings. Floats use the exact
@@ -15,16 +23,22 @@
 //! the shortest round-trip decimal when finite (keeping `-0.0`
 //! distinct), and a `"bits:<16 hex digits>"` string otherwise — the trio
 //! holds `NaN` for never-measured entries, and even NaN payloads survive.
+//!
+//! **Validation after decoding.** The version is checked before the body
+//! is decoded, and the decoded plan takes one validation pass: every
+//! planned attribute asks a question and every regression has one
+//! coefficient per planned attribute. [`check_domain`] adds the domain
+//! to that pass: every planned id and regression target must lie inside
+//! it, each planned kind equal to the spec's.
 
 use crate::{
     DisqError, EvaluationPlan, PlannedAttribute, PreprocessOutput, PreprocessStats,
     TargetRegression,
 };
-use disq_crowd::Money;
-use disq_domain::{AttributeId, AttributeKind};
-use disq_stats::StatsTrio;
-use disq_trace::json::{self, Json};
-use std::fmt::Write as _;
+use disq_domain::{AttributeId, DomainSpec};
+use disq_trace::json::{self, Field, Json};
+use disq_trace::record;
+use std::borrow::Cow;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -48,272 +62,144 @@ pub struct PlanMeta {
     pub seed: u64,
 }
 
-fn write_f64_slice(out: &mut String, xs: &[f64]) {
-    out.push('[');
-    for (i, &x) in xs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json::write_f64_exact(out, x);
-    }
-    out.push(']');
+/// One stored plan; the output is borrowed while encoding.
+struct Envelope<'a> {
+    disq_plan_version: u64,
+    domain: String,
+    attribute: String,
+    seed: u64,
+    output: Cow<'a, PreprocessOutput>,
 }
 
-fn write_str_slice(out: &mut String, xs: &[String]) {
-    out.push('[');
-    for (i, x) in xs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json::write_str(out, x);
-    }
-    out.push(']');
+record!(Envelope<'_> { disq_plan_version, domain, attribute, seed, output });
+record!(PreprocessOutput { plan, trio, pool_labels, budget with counts, weights, stats });
+record!(EvaluationPlan {
+    attributes,
+    regressions
+});
+record!(PlannedAttribute { attr, label, kind, questions with count });
+record!(TargetRegression {
+    target,
+    label,
+    intercept,
+    coefficients,
+    training_mse
+});
+record!(PreprocessStats {
+    n1_used,
+    dismantle_questions with count,
+    discovered,
+    rejected with count,
+    junk with count,
+    duplicates with count,
+    spent as "spent_millicents",
+    fell_back,
+});
+
+/// Reads a count, rejecting one that `as u32` would wrap.
+fn count(j: Option<&Json>, ctx: &str, name: &str) -> Result<u32, String> {
+    narrow(u64::decode(j, ctx, name)?, ctx, name)
+}
+
+/// Reads a list of counts.
+fn counts(j: Option<&Json>, ctx: &str, name: &str) -> Result<Vec<u32>, String> {
+    let counts = Vec::<u64>::decode(j, ctx, name)?;
+    counts.into_iter().map(|n| narrow(n, ctx, name)).collect()
+}
+
+fn narrow(n: u64, ctx: &str, name: &str) -> Result<u32, String> {
+    u32::try_from(n).map_err(|_| format!("{ctx}: {name} exceeds u32::MAX"))
+}
+
+fn store_error(e: String) -> DisqError {
+    DisqError::Config(format!("plan store: {e}"))
 }
 
 /// Serializes `output` plus its identity into the versioned envelope.
 pub fn output_to_json(output: &PreprocessOutput, meta: &PlanMeta) -> String {
     let mut s = String::with_capacity(1024);
-    let _ = write!(s, "{{\"disq_plan_version\":{PLAN_STORE_VERSION},");
-    s.push_str("\"domain\":");
-    json::write_str(&mut s, &meta.domain);
-    s.push_str(",\"attribute\":");
-    json::write_str(&mut s, &meta.attribute);
-    let _ = write!(s, ",\"seed\":{},", meta.seed);
-
-    s.push_str("\"output\":{\"plan\":{\"attributes\":[");
-    for (i, p) in output.plan.attributes.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "{{\"attr\":{},\"label\":", p.attr.0);
-        json::write_str(&mut s, &p.label);
-        let kind = match p.kind {
-            AttributeKind::Numeric => "numeric",
-            AttributeKind::Boolean => "boolean",
-        };
-        let _ = write!(s, ",\"kind\":\"{kind}\",\"questions\":{}}}", p.questions);
+    Envelope {
+        disq_plan_version: PLAN_STORE_VERSION,
+        domain: meta.domain.clone(),
+        attribute: meta.attribute.clone(),
+        seed: meta.seed,
+        output: Cow::Borrowed(output),
     }
-    s.push_str("],\"regressions\":[");
-    for (i, r) in output.plan.regressions.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "{{\"target\":{},\"label\":", r.target.0);
-        json::write_str(&mut s, &r.label);
-        s.push_str(",\"intercept\":");
-        json::write_f64_exact(&mut s, r.intercept);
-        s.push_str(",\"coefficients\":");
-        write_f64_slice(&mut s, &r.coefficients);
-        s.push_str(",\"training_mse\":");
-        json::write_f64_exact(&mut s, r.training_mse);
-        s.push('}');
-    }
-    s.push_str("]},\"trio\":{\"s_o\":[");
-    for (i, row) in output.trio.s_o_rows().iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        write_f64_slice(&mut s, row);
-    }
-    s.push_str("],\"s_a\":[");
-    for (i, row) in output.trio.s_a_rows().iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        write_f64_slice(&mut s, row);
-    }
-    s.push_str("],\"s_c\":");
-    write_f64_slice(&mut s, output.trio.s_c_values());
-    s.push_str(",\"target_var\":");
-    write_f64_slice(&mut s, output.trio.target_variances());
-    s.push_str("},\"pool_labels\":");
-    write_str_slice(&mut s, &output.pool_labels);
-    s.push_str(",\"budget\":[");
-    for (i, b) in output.budget.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "{b}");
-    }
-    s.push_str("],\"weights\":");
-    write_f64_slice(&mut s, &output.weights);
-    let st = &output.stats;
-    let _ = write!(
-        s,
-        ",\"stats\":{{\"n1_used\":{},\"dismantle_questions\":{},\"discovered\":",
-        st.n1_used, st.dismantle_questions
-    );
-    write_str_slice(&mut s, &st.discovered);
-    let _ = write!(
-        s,
-        ",\"rejected\":{},\"junk\":{},\"duplicates\":{},\"spent_millicents\":{},\"fell_back\":{}}}}}}}",
-        st.rejected,
-        st.junk,
-        st.duplicates,
-        st.spent.millicents(),
-        st.fell_back
-    );
+    .encode(&mut s);
     s
 }
 
-fn field<'a>(j: &'a Json, key: &str, ctx: &str) -> Result<&'a Json, DisqError> {
-    j.get(key)
-        .ok_or_else(|| DisqError::Config(format!("plan store: missing '{key}' in {ctx}")))
-}
-
-fn as_f64(j: &Json, ctx: &str) -> Result<f64, DisqError> {
-    j.as_f64_exact()
-        .ok_or_else(|| DisqError::Config(format!("plan store: expected a float in {ctx}")))
-}
-
-fn as_u64(j: &Json, ctx: &str) -> Result<u64, DisqError> {
-    j.as_u64()
-        .ok_or_else(|| DisqError::Config(format!("plan store: expected an integer in {ctx}")))
-}
-
-fn as_u32(j: &Json, ctx: &str) -> Result<u32, DisqError> {
-    u32::try_from(as_u64(j, ctx)?)
-        .map_err(|_| DisqError::Config(format!("plan store: {ctx} exceeds u32::MAX")))
-}
-
-fn as_str(j: &Json, ctx: &str) -> Result<String, DisqError> {
-    j.as_str()
-        .map(str::to_string)
-        .ok_or_else(|| DisqError::Config(format!("plan store: expected a string in {ctx}")))
-}
-
-fn as_arr<'a>(j: &'a Json, ctx: &str) -> Result<&'a [Json], DisqError> {
-    j.as_arr()
-        .ok_or_else(|| DisqError::Config(format!("plan store: expected an array in {ctx}")))
-}
-
-fn f64_vec(j: &Json, ctx: &str) -> Result<Vec<f64>, DisqError> {
-    as_arr(j, ctx)?.iter().map(|x| as_f64(x, ctx)).collect()
-}
-
-fn str_vec(j: &Json, ctx: &str) -> Result<Vec<String>, DisqError> {
-    as_arr(j, ctx)?.iter().map(|x| as_str(x, ctx)).collect()
-}
-
 /// Parses an envelope produced by [`output_to_json`], rejecting version
-/// mismatches, shape errors and plans that break [`EvaluationPlan`]'s
-/// invariants (an attribute with no questions, a count beyond `u32`, a
-/// regression whose coefficients do not match the planned attributes).
+/// mismatches, shape errors and plans that fail the validation pass (see
+/// the module docs).
 pub fn output_from_json(text: &str) -> Result<(PreprocessOutput, PlanMeta), DisqError> {
-    let root = json::parse(text).map_err(|e| DisqError::Config(format!("plan store: {e}")))?;
-    let version = as_u64(field(&root, "disq_plan_version", "envelope")?, "version")?;
+    let root = json::parse(text).map_err(store_error)?;
+    let version = u64::decode(
+        root.get("disq_plan_version"),
+        "envelope",
+        "disq_plan_version",
+    )
+    .map_err(store_error)?;
     if version != PLAN_STORE_VERSION {
-        return Err(DisqError::Config(format!(
-            "plan store: unsupported version {version} (expected {PLAN_STORE_VERSION})"
+        return Err(store_error(format!(
+            "unsupported version {version} (expected {PLAN_STORE_VERSION})"
         )));
     }
+    let envelope = Envelope::decode(Some(&root), "file", "envelope").map_err(store_error)?;
+    let output = envelope.output.into_owned();
+    validate(&output.plan, None).map_err(store_error)?;
     let meta = PlanMeta {
-        domain: as_str(field(&root, "domain", "envelope")?, "domain")?,
-        attribute: as_str(field(&root, "attribute", "envelope")?, "attribute")?,
-        seed: as_u64(field(&root, "seed", "envelope")?, "seed")?,
-    };
-    let out = field(&root, "output", "envelope")?;
-
-    let plan_j = field(out, "plan", "output")?;
-    let mut attributes = Vec::new();
-    for a in as_arr(field(plan_j, "attributes", "plan")?, "plan.attributes")? {
-        let kind = match as_str(field(a, "kind", "attribute")?, "kind")?.as_str() {
-            "numeric" => AttributeKind::Numeric,
-            "boolean" => AttributeKind::Boolean,
-            other => {
-                return Err(DisqError::Config(format!(
-                    "plan store: unknown attribute kind '{other}'"
-                )))
-            }
-        };
-        let label = as_str(field(a, "label", "attribute")?, "label")?;
-        let questions = as_u32(field(a, "questions", "attribute")?, "questions")?;
-        if questions == 0 {
-            return Err(DisqError::Config(format!(
-                "plan store: attribute '{label}' plans 0 questions"
-            )));
-        }
-        attributes.push(PlannedAttribute {
-            attr: AttributeId(as_u64(field(a, "attr", "attribute")?, "attr")? as usize),
-            label,
-            kind,
-            questions,
-        });
-    }
-    let mut regressions = Vec::new();
-    for r in as_arr(field(plan_j, "regressions", "plan")?, "plan.regressions")? {
-        let label = as_str(field(r, "label", "regression")?, "label")?;
-        let coefficients = f64_vec(field(r, "coefficients", "regression")?, "coefficients")?;
-        if coefficients.len() != attributes.len() {
-            return Err(DisqError::Config(format!(
-                "plan store: regression '{label}' has {} coefficients for {} planned attributes",
-                coefficients.len(),
-                attributes.len()
-            )));
-        }
-        regressions.push(TargetRegression {
-            target: AttributeId(as_u64(field(r, "target", "regression")?, "target")? as usize),
-            label,
-            intercept: as_f64(field(r, "intercept", "regression")?, "intercept")?,
-            coefficients,
-            training_mse: as_f64(field(r, "training_mse", "regression")?, "training_mse")?,
-        });
-    }
-
-    let trio_j = field(out, "trio", "output")?;
-    let rows = |key: &str| -> Result<Vec<Vec<f64>>, DisqError> {
-        as_arr(field(trio_j, key, "trio")?, key)?
-            .iter()
-            .map(|row| f64_vec(row, key))
-            .collect()
-    };
-    let trio = StatsTrio::from_parts(
-        rows("s_o")?,
-        rows("s_a")?,
-        f64_vec(field(trio_j, "s_c", "trio")?, "s_c")?,
-        f64_vec(field(trio_j, "target_var", "trio")?, "target_var")?,
-    )?;
-
-    let stats_j = field(out, "stats", "output")?;
-    let stats = PreprocessStats {
-        n1_used: as_u64(field(stats_j, "n1_used", "stats")?, "n1_used")? as usize,
-        dismantle_questions: as_u32(
-            field(stats_j, "dismantle_questions", "stats")?,
-            "dismantle_questions",
-        )?,
-        discovered: str_vec(field(stats_j, "discovered", "stats")?, "discovered")?,
-        rejected: as_u32(field(stats_j, "rejected", "stats")?, "rejected")?,
-        junk: as_u32(field(stats_j, "junk", "stats")?, "junk")?,
-        duplicates: as_u32(field(stats_j, "duplicates", "stats")?, "duplicates")?,
-        spent: Money::from_millicents(
-            field(stats_j, "spent_millicents", "stats")?
-                .as_i64()
-                .ok_or_else(|| {
-                    DisqError::Config("plan store: expected an integer in spent_millicents".into())
-                })?,
-        ),
-        fell_back: field(stats_j, "fell_back", "stats")?
-            .as_bool()
-            .ok_or_else(|| DisqError::Config("plan store: expected a bool in fell_back".into()))?,
-    };
-
-    let budget = as_arr(field(out, "budget", "output")?, "budget")?
-        .iter()
-        .map(|b| as_u32(b, "budget"))
-        .collect::<Result<Vec<_>, _>>()?;
-
-    let output = PreprocessOutput {
-        plan: EvaluationPlan {
-            attributes,
-            regressions,
-        },
-        trio,
-        pool_labels: str_vec(field(out, "pool_labels", "output")?, "pool_labels")?,
-        budget,
-        weights: f64_vec(field(out, "weights", "output")?, "weights")?,
-        stats,
+        domain: envelope.domain,
+        attribute: envelope.attribute,
+        seed: envelope.seed,
     };
     Ok((output, meta))
+}
+
+/// Runs the validation pass on `plan` with the domain it will serve (see
+/// the module docs). The online phase indexes the domain by the plan's
+/// ids, so a stored plan that fails would panic every query it answers.
+pub fn check_domain(plan: &EvaluationPlan, spec: &DomainSpec) -> Result<(), DisqError> {
+    validate(plan, Some(spec)).map_err(store_error)
+}
+
+/// The validation pass over a decoded plan; `spec` adds the domain.
+fn validate(plan: &EvaluationPlan, spec: Option<&DomainSpec>) -> Result<(), String> {
+    let lookup = |id: AttributeId, label: &str| match spec {
+        Some(spec) if id.index() >= spec.n_attrs() => {
+            let (i, name, n) = (id.index(), spec.name(), spec.n_attrs());
+            Err(format!(
+                "'{label}' names attribute {i} outside domain '{name}' ({n} attributes)"
+            ))
+        }
+        Some(spec) => Ok(Some(spec.attr(id))),
+        None => Ok(None),
+    };
+    for p in &plan.attributes {
+        if p.questions == 0 {
+            return Err(format!("attribute '{}' plans 0 questions", p.label));
+        }
+        if let Some(a) = lookup(p.attr, &p.label)? {
+            if a.kind != p.kind {
+                return Err(format!(
+                    "attribute '{}' is planned {:?}, but the domain's '{}' is {:?}",
+                    p.label, p.kind, a.name, a.kind
+                ));
+            }
+        }
+    }
+    for r in &plan.regressions {
+        if r.coefficients.len() != plan.attributes.len() {
+            return Err(format!(
+                "regression '{}' has {} coefficients for {} planned attributes",
+                r.label,
+                r.coefficients.len(),
+                plan.attributes.len()
+            ));
+        }
+        lookup(r.target, &r.label)?;
+    }
+    Ok(())
 }
 
 /// Replaces every byte that could upset a filesystem with `_` so plan
@@ -381,12 +267,7 @@ impl PlanStore {
         let text = match std::fs::read_to_string(&path) {
             Ok(t) => t,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => {
-                return Err(DisqError::Config(format!(
-                    "plan store: cannot read {}: {e}",
-                    path.display()
-                )))
-            }
+            Err(e) => return Err(store_error(format!("cannot read {}: {e}", path.display()))),
         };
         let (output, meta) = output_from_json(&text)?;
         let expect = PlanMeta {
@@ -395,11 +276,9 @@ impl PlanStore {
             seed,
         };
         if meta != expect {
-            return Err(DisqError::Config(format!(
-                "plan store: {} holds plan for {:?}, expected {:?}",
-                path.display(),
-                meta,
-                expect
+            let path = path.display();
+            return Err(store_error(format!(
+                "{path} holds plan for {meta:?}, expected {expect:?}"
             )));
         }
         Ok(Some(output))
@@ -409,6 +288,9 @@ impl PlanStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use disq_crowd::Money;
+    use disq_domain::AttributeKind;
+    use disq_stats::StatsTrio;
 
     fn sample_output() -> PreprocessOutput {
         let trio = StatsTrio::from_parts(
@@ -559,6 +441,63 @@ mod tests {
             assert_ne!(bad, text);
             assert_config_error(&bad, "planned attributes");
         }
+    }
+
+    /// Asserts `text` fails to decode with exactly `message`.
+    fn assert_decode_error(text: &str, message: &str) {
+        assert_eq!(
+            output_from_json(text).unwrap_err(),
+            DisqError::Config(message.into())
+        );
+    }
+
+    #[test]
+    fn decode_errors_name_the_record_and_member() {
+        let text = output_to_json(&sample_output(), &meta());
+        let bad = text.replacen("\"kind\":\"boolean\"", "\"kind\":\"ordinal\"", 1);
+        assert_decode_error(&bad, "plan store: attributes: unknown kind \"ordinal\"");
+        let bad = text.replacen("\"junk\":1,", "", 1);
+        assert_decode_error(&bad, "plan store: stats: missing integer \"junk\"");
+        let bad = text.replacen("\"intercept\":10.625", "\"intercept\":\"10.625\"", 1);
+        assert_decode_error(
+            &bad,
+            "plan store: regressions: missing number \"intercept\"",
+        );
+        let bad = text.replacen("\"s_c\":[90,0.24]", "\"s_c\":[90]", 1);
+        assert_decode_error(
+            &bad,
+            "plan store: trio: s_o row: expected length 1, found 2",
+        );
+    }
+
+    #[test]
+    fn plans_are_checked_against_their_domain() {
+        let spec = disq_domain::domains::pictures::spec();
+        let plan = sample_output().plan;
+        check_domain(&plan, &spec).unwrap();
+        let reject = |edit: fn(&mut EvaluationPlan), message: &str| {
+            let mut bad = plan.clone();
+            edit(&mut bad);
+            let err = check_domain(&bad, &spec).unwrap_err();
+            assert_eq!(err, DisqError::Config(format!("plan store: {message}")));
+        };
+        reject(
+            |p| p.attributes[1].attr = AttributeId(999),
+            "'Heavy \"looking\"' names attribute 999 outside domain 'pictures' (17 attributes)",
+        );
+        reject(
+            |p| p.attributes[1].kind = AttributeKind::Numeric,
+            "attribute 'Heavy \"looking\"' is planned Numeric, but the domain's 'Heavy' is Boolean",
+        );
+        reject(
+            |p| p.regressions[0].target = AttributeId(17),
+            "'Bmi' names attribute 17 outside domain 'pictures' (17 attributes)",
+        );
+        // The decoder's own checks are part of the same pass.
+        reject(
+            |p| p.attributes[0].questions = 0,
+            "attribute 'Bmi' plans 0 questions",
+        );
     }
 
     #[test]

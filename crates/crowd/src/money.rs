@@ -6,6 +6,7 @@
 //! therefore counts **milli-cents** in an `i64`, which is exact for every
 //! price in play and overflows only beyond ~9×10¹² dollars.
 
+use disq_trace::json::{Field, Json};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
@@ -114,6 +115,16 @@ impl fmt::Display for Money {
         } else {
             write!(f, "{cents:.1}¢")
         }
+    }
+}
+
+/// Crosses JSON as integer milli-cents.
+impl Field for Money {
+    fn encode(&self, out: &mut String) {
+        self.0.encode(out);
+    }
+    fn decode(j: Option<&Json>, ctx: &str, name: &str) -> Result<Self, String> {
+        i64::decode(j, ctx, name).map(Money)
     }
 }
 

@@ -6,6 +6,7 @@
 //! registry does that merge: it interns canonical names, maps registered
 //! synonyms onto them, and normalizes case/whitespace.
 
+use disq_trace::json::{Field, Json};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -27,6 +28,16 @@ impl AttributeId {
 impl fmt::Display for AttributeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "attr#{}", self.0)
+    }
+}
+
+/// Crosses JSON as its raw index.
+impl Field for AttributeId {
+    fn encode(&self, out: &mut String) {
+        self.0.encode(out);
+    }
+    fn decode(j: Option<&Json>, ctx: &str, name: &str) -> Result<Self, String> {
+        usize::decode(j, ctx, name).map(AttributeId)
     }
 }
 

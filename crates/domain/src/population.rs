@@ -249,15 +249,21 @@ fn sharpen_boolean_column(column: &mut [f64], target_sc: f64, scratch: &mut Vec<
 
 /// The column's hard-0/1 threshold: its `(1 − mean)`-quantile, which
 /// keeps the fraction of "hard yes" objects equal to the mean propensity.
-/// Selected on a copy in `scratch`; `column` must not be empty.
+/// Selected on a copy in `scratch`; `column` must hold propensities in
+/// `[0, 1]` and must not be empty. The copy turns `-0.0` into `+0.0`
+/// (`q + 0.0`), after which bit patterns order it as `partial_cmp` does;
+/// `τ` is only read by `q >= τ`, blind to that sign. The same pass sums
+/// the mean as `Sum` does: left to right from `-0.0`.
 fn select_threshold(column: &[f64], scratch: &mut Vec<f64>) -> f64 {
     let n = column.len();
-    let mean_q = column.iter().sum::<f64>() / n as f64;
-    let idx = (((1.0 - mean_q) * n as f64) as usize).min(n - 1);
+    let mut sum = -0.0;
     scratch.clear();
-    scratch.extend_from_slice(column);
-    let (_, &mut threshold, _) =
-        scratch.select_nth_unstable_by(idx, |a, b| a.partial_cmp(b).unwrap());
+    scratch.extend(column.iter().map(|&q| {
+        sum += q;
+        q + 0.0
+    }));
+    let idx = (((1.0 - sum / n as f64) * n as f64) as usize).min(n - 1);
+    let (_, &mut threshold, _) = scratch.select_nth_unstable_by_key(idx, |q| q.to_bits());
     threshold
 }
 
@@ -524,6 +530,28 @@ mod tests {
             let threshold = select_threshold(&col, &mut Vec::new());
             let lambda = root as f64 / (1u64 << 20) as f64;
             certified_steps(&col, sc_at(&col, threshold, lambda));
+        }
+    }
+
+    /// Columns whose selected rank sits on ties, with sharpening still
+    /// active: a `-0.0`/`0.0` tie (eight 1s and a value just below 1 whose
+    /// deficit the mean rounds away, so the rank lands on the last zero)
+    /// and a `1.0` tie (a value just above 0 that keeps `S_c` positive).
+    /// Bit-pattern selection and the sorting reference agree bit for bit.
+    #[test]
+    fn selection_on_tied_ranks_matches_sorting() {
+        let below_one = 1.0 - f64::EPSILON / 2.0;
+        let zero_tie = vec![1.0, -0.0, 1.0, 1.0, 0.0, 1.0, below_one, 1.0, 1.0, 1.0];
+        let one_tie = vec![1.0, 0.0, 1.0, 1e-300, 1.0, -0.0, 1.0, 1.0, 1.0, 1.0];
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (col, tie, target_sc) in [(zero_tie, 0.0, 1e-18), (one_tie, 1.0, 1e-302)] {
+            assert_eq!(select_threshold(&col, &mut Vec::new()), tie);
+            let mut want = col.clone();
+            sharpen_by_sorting(&mut want, target_sc);
+            let mut got = col.clone();
+            sharpen_boolean_column(&mut got, target_sc, &mut Vec::new());
+            assert_ne!(bits(&got), bits(&col), "sharpening ran");
+            assert_eq!(bits(&got), bits(&want));
         }
     }
 

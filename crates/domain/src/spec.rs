@@ -11,6 +11,7 @@
 
 use crate::{AttributeId, AttributeRegistry};
 use disq_math::{nearest_correlation, MathError, Matrix};
+use disq_trace::json::{self, Field, Json};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -23,6 +24,24 @@ pub enum AttributeKind {
     Numeric,
     /// Boolean attribute modeled as a number in `\[0, 1\]`.
     Boolean,
+}
+
+/// Crosses JSON as `"numeric"` or `"boolean"`.
+impl Field for AttributeKind {
+    fn encode(&self, out: &mut String) {
+        let kind = match self {
+            AttributeKind::Numeric => "numeric",
+            AttributeKind::Boolean => "boolean",
+        };
+        json::write_str(out, kind);
+    }
+    fn decode(j: Option<&Json>, ctx: &str, name: &str) -> Result<Self, String> {
+        match String::decode(j, ctx, name)?.as_str() {
+            "numeric" => Ok(AttributeKind::Numeric),
+            "boolean" => Ok(AttributeKind::Boolean),
+            other => Err(format!("{ctx}: unknown {name} {other:?}")),
+        }
+    }
 }
 
 /// Ground-truth description of one attribute.

@@ -34,6 +34,7 @@ pub use obs::RequestRecord;
 pub use server::QueryServer;
 
 use disq_core::online::{evaluate_query, QueryResult};
+use disq_core::plan_store::check_domain;
 use disq_core::{preprocess, DisqConfig, PlanMeta, PlanStore, PreprocessOutput, PLAN_DIR_ENV};
 use disq_crowd::{CoalescingCrowd, CrowdConfig, Money, SimulatedCrowd};
 use disq_domain::{domains, DomainSpec, ObjectId, Population, Predicate, PredicateOp, Query};
@@ -446,6 +447,8 @@ impl Engine {
         if let Some(store) = &self.store {
             match store.load(&meta.domain, &meta.attribute, meta.seed) {
                 Ok(Some(out)) => {
+                    check_domain(&out.plan, &self.spec)
+                        .map_err(|e| ServeError::Internal(e.to_string()))?;
                     self.stats.plan_disk_loads.fetch_add(1, Ordering::Relaxed);
                     disq_trace::count(Counter::PlanStoreLoads);
                     let plan = Arc::new(out);

@@ -187,6 +187,56 @@ fn restart_warm_starts_from_the_plan_store() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A stored plan that names an attribute outside the domain is a corrupt
+/// plan-store file: every query for its attribute answers a 500 naming
+/// the store, and nothing indexes the domain with the bad id.
+#[test]
+fn corrupt_stored_plan_is_rejected_against_the_domain() {
+    let dir = std::env::temp_dir().join(format!("disq-serve-corrupt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        let engine = Arc::new(Engine::new(test_config(Some(dir.clone()))).expect("engine"));
+        let server = QueryServer::start("127.0.0.1:0", engine).expect("bind");
+        let resp = oneshot(
+            server.local_addr(),
+            "POST",
+            "/query",
+            &query_body("Bmi", None, 10),
+        );
+        assert_eq!(resp.status, 200, "{}", resp.body);
+    }
+    // Point the first planned attribute at id 999 (pictures has 17).
+    let path = std::fs::read_dir(&dir)
+        .unwrap()
+        .next()
+        .expect("a persisted plan")
+        .unwrap()
+        .path();
+    let text = std::fs::read_to_string(&path).unwrap();
+    let start = text.find("\"attr\":").expect("a planned attribute") + "\"attr\":".len();
+    let end = start + text[start..].find(',').unwrap();
+    std::fs::write(&path, format!("{}999{}", &text[..start], &text[end..])).unwrap();
+
+    let engine = Arc::new(Engine::new(test_config(Some(dir.clone()))).expect("engine"));
+    let server = QueryServer::start("127.0.0.1:0", engine).expect("bind");
+    // Twice: the rejected plan must not be cached.
+    for _ in 0..2 {
+        let resp = oneshot(
+            server.local_addr(),
+            "POST",
+            "/query",
+            &query_body("Bmi", None, 10),
+        );
+        assert_eq!(resp.status, 500, "{}", resp.body);
+        assert!(
+            resp.body.contains("plan store: ") && resp.body.contains("attribute 999"),
+            "{}",
+            resp.body
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn concurrent_queries_coalesce_questions() {
     // 8 parallel clients hammer the same attribute over the same

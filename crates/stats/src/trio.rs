@@ -116,6 +116,10 @@ pub struct StatsTrio {
     target_var: Vec<f64>,
 }
 
+// Crosses JSON as its four members, stored verbatim; decoding checks
+// their shapes through `from_parts`.
+disq_trace::record!(StatsTrio { s_o, s_a, s_c, target_var } via from_parts);
+
 impl StatsTrio {
     /// Creates an empty trio for `n_targets` query attributes.
     pub fn new(n_targets: usize) -> Self {

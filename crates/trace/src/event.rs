@@ -11,7 +11,9 @@
 //! order, with their docs. The macro generates the types,
 //! [`TraceEvent::name`], [`TraceEvent::KINDS`], the encoder and the
 //! decoder from that one declaration, so the two directions cannot
-//! drift apart. How each field type reads and writes is the `Field`
+//! drift apart; the nested records get their codec from
+//! [`record!`](crate::record), the macro the plan store's records use
+//! too. How each field type reads and writes is the [`json::Field`]
 //! trait's job. Floats use the exact codec shared with the plan store
 //! ([`json::write_f64_exact`]): the shortest round-trip decimal when
 //! finite, `"bits:<16 hex digits>"` otherwise. An event field declared
@@ -19,141 +21,7 @@
 //! as the default when absent. Legacy traces still parse: `null` floats
 //! read as NaN, and a `span_start` without `req` reads as `req = 0`.
 
-use crate::json::{self, Json};
-use std::fmt::Write as _;
-
-/// How one field type of the schema is written to and read from JSON.
-pub(crate) trait Field: Sized {
-    /// Appends the JSON encoding of `self`.
-    fn encode(&self, out: &mut String);
-    /// Decodes member `name` of an object (`None` when the key is
-    /// absent); `ctx` names the object in error messages.
-    fn decode(j: Option<&Json>, ctx: &str, name: &str) -> Result<Self, String>;
-}
-
-fn missing(ctx: &str, what: &str, name: &str) -> String {
-    format!("{ctx}: missing {what} {name:?}")
-}
-
-impl Field for u64 {
-    fn encode(&self, out: &mut String) {
-        let _ = write!(out, "{self}");
-    }
-    fn decode(j: Option<&Json>, ctx: &str, name: &str) -> Result<Self, String> {
-        j.and_then(Json::as_u64)
-            .ok_or_else(|| missing(ctx, "integer", name))
-    }
-}
-
-impl Field for u32 {
-    fn encode(&self, out: &mut String) {
-        let _ = write!(out, "{self}");
-    }
-    fn decode(j: Option<&Json>, ctx: &str, name: &str) -> Result<Self, String> {
-        u64::decode(j, ctx, name)?
-            .try_into()
-            .map_err(|_| format!("{ctx}: {name:?} out of range"))
-    }
-}
-
-impl Field for i64 {
-    fn encode(&self, out: &mut String) {
-        let _ = write!(out, "{self}");
-    }
-    fn decode(j: Option<&Json>, ctx: &str, name: &str) -> Result<Self, String> {
-        j.and_then(Json::as_i64)
-            .ok_or_else(|| missing(ctx, "integer", name))
-    }
-}
-
-impl Field for f64 {
-    fn encode(&self, out: &mut String) {
-        json::write_f64_exact(out, *self);
-    }
-    fn decode(j: Option<&Json>, ctx: &str, name: &str) -> Result<Self, String> {
-        j.and_then(Json::as_f64_exact)
-            .ok_or_else(|| missing(ctx, "number", name))
-    }
-}
-
-impl Field for bool {
-    fn encode(&self, out: &mut String) {
-        let _ = write!(out, "{self}");
-    }
-    fn decode(j: Option<&Json>, ctx: &str, name: &str) -> Result<Self, String> {
-        j.and_then(Json::as_bool)
-            .ok_or_else(|| missing(ctx, "boolean", name))
-    }
-}
-
-impl Field for String {
-    fn encode(&self, out: &mut String) {
-        json::write_str(out, self);
-    }
-    fn decode(j: Option<&Json>, ctx: &str, name: &str) -> Result<Self, String> {
-        j.and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| missing(ctx, "string", name))
-    }
-}
-
-/// `None` is `null`, so the inner type must never encode as `null`.
-impl<T: Field> Field for Option<T> {
-    fn encode(&self, out: &mut String) {
-        match self {
-            Some(v) => v.encode(out),
-            None => out.push_str("null"),
-        }
-    }
-    fn decode(j: Option<&Json>, ctx: &str, name: &str) -> Result<Self, String> {
-        match j {
-            Some(Json::Null) => Ok(None),
-            j => T::decode(j, ctx, name).map(Some),
-        }
-    }
-}
-
-impl<T: Field> Field for Vec<T> {
-    fn encode(&self, out: &mut String) {
-        out.push('[');
-        for (i, v) in self.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            v.encode(out);
-        }
-        out.push(']');
-    }
-    fn decode(j: Option<&Json>, ctx: &str, name: &str) -> Result<Self, String> {
-        j.and_then(Json::as_arr)
-            .ok_or_else(|| missing(ctx, "array", name))?
-            .iter()
-            .map(|v| T::decode(Some(v), ctx, name))
-            .collect()
-    }
-}
-
-/// Writes the members of one JSON object in declaration order.
-struct Members<'a> {
-    out: &'a mut String,
-    /// `{` before the first member, `,` after it.
-    sep: char,
-}
-
-impl Members<'_> {
-    fn put<T: Field>(&mut self, name: &str, value: &T) {
-        self.out.push(self.sep);
-        self.sep = ',';
-        self.out.push('"');
-        self.out.push_str(name);
-        self.out.push_str("\":");
-        value.encode(self.out);
-    }
-
-    fn close(self) {
-        self.out.push('}');
-    }
-}
+use crate::json::{self, Field, Json, Members};
 
 /// Declares the record structs and the [`TraceEvent`] enum, and derives
 /// their JSON codec, from one field table (see the module docs).
@@ -182,19 +50,7 @@ macro_rules! schema {
                 $( $(#[$rfmeta])* pub $rf: $rt, )+
             }
 
-            impl Field for $record {
-                fn encode(&self, out: &mut String) {
-                    let mut m = Members { out, sep: '{' };
-                    $( m.put(stringify!($rf), &self.$rf); )+
-                    m.close();
-                }
-                fn decode(j: Option<&Json>, ctx: &str, name: &str) -> Result<Self, String> {
-                    let j = j
-                        .filter(|j| matches!(j, Json::Obj(_)))
-                        .ok_or_else(|| missing(ctx, "object", name))?;
-                    Ok($record { $( $rf: schema!(@get j, name, $rf), )+ })
-                }
-            }
+            crate::record!($record { $($rf),+ });
 
             #[cfg(test)]
             impl tests::Arb for $record {
@@ -226,9 +82,9 @@ macro_rules! schema {
 
             /// Serializes to one line of JSON (no trailing newline).
             pub fn to_json(&self) -> String {
-                let mut s = String::from("{\"event\":");
-                json::write_str(&mut s, self.name());
-                let mut m = Members { out: &mut s, sep: ',' };
+                let mut s = String::new();
+                let mut m = Members::open(&mut s);
+                json::write_str(m.member("event"), self.name());
                 match self {
                     $(
                         TraceEvent::$variant { $($f),* } => {
@@ -268,11 +124,11 @@ macro_rules! schema {
         }
     };
     (@put $m:ident, $value:expr, $name:ident) => {
-        $m.put(stringify!($name), $value)
+        Field::encode($value, $m.member(stringify!($name)))
     };
     (@put $m:ident, $value:expr, $name:ident = $default:expr) => {
         if *$value != $default {
-            $m.put(stringify!($name), $value)
+            Field::encode($value, $m.member(stringify!($name)))
         }
     };
     (@get $j:ident, $ctx:expr, $name:ident) => {

@@ -1,5 +1,5 @@
-//! Minimal hand-rolled JSON: a writer for the event serializer and a
-//! recursive-descent parser for the JSONL round trip.
+//! Minimal hand-rolled JSON: a writer, a recursive-descent parser and
+//! the record codec shared by trace events and stored plans.
 //!
 //! The build environment has no crates.io access, so — like
 //! `disq-bench`'s harness records — serialization is string assembly and
@@ -9,7 +9,14 @@
 //! non-finite float as `null` (read back as `f64::NAN`), while the exact
 //! codec of traces and the plan store ([`write_f64_exact`] /
 //! [`Json::as_f64_exact`]) keeps every bit pattern.
+//!
+//! [`Field`] says how one member type is written and read back, and
+//! [`record!`](crate::record) derives it for a struct from one member
+//! list, so a record's encoder and decoder cannot drift apart. Trace
+//! events' nested records and every record of a stored plan are declared
+//! with it. Decoders check shapes only; checks across members run after.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -131,8 +138,6 @@ pub fn write_str(out: &mut String, s: &str) {
 pub fn write_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         let _ = write!(out, "{v}");
-        // Ensure a decimal point so integers stay visually floats — not
-        // required for parsing, skipped to keep output minimal.
     } else {
         out.push_str("null");
     }
@@ -148,6 +153,198 @@ pub fn write_f64_exact(out: &mut String, v: f64) {
     } else {
         let _ = write!(out, "\"bits:{:016x}\"", v.to_bits());
     }
+}
+
+/// How one member type of a record is written to and read from JSON.
+pub trait Field: Sized {
+    /// Appends the JSON encoding of `self`.
+    fn encode(&self, out: &mut String);
+    /// Decodes member `name` of an object (`None` when the key is
+    /// absent); `ctx` names the object in error messages.
+    fn decode(j: Option<&Json>, ctx: &str, name: &str) -> Result<Self, String>;
+}
+
+fn missing(ctx: &str, what: &str, name: &str) -> String {
+    format!("{ctx}: missing {what} {name:?}")
+}
+
+/// Integers and booleans: written with `Display`, read through the
+/// matching [`Json`] accessor or, when narrower than `u64`, range-checked.
+macro_rules! scalar {
+    ($($t:ty => $read:expr, $what:literal;)*) => {$(
+        impl Field for $t {
+            fn encode(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+            fn decode(j: Option<&Json>, ctx: &str, name: &str) -> Result<Self, String> {
+                j.and_then($read)
+                    .ok_or_else(|| missing(ctx, $what, name))?
+                    .try_into()
+                    .map_err(|_| format!("{ctx}: {name:?} out of range"))
+            }
+        }
+    )*};
+}
+
+scalar! {
+    u64 => Json::as_u64, "integer";
+    u32 => Json::as_u64, "integer";
+    usize => Json::as_u64, "integer";
+    i64 => Json::as_i64, "integer";
+    bool => Json::as_bool, "boolean";
+}
+
+impl Field for f64 {
+    fn encode(&self, out: &mut String) {
+        write_f64_exact(out, *self);
+    }
+    fn decode(j: Option<&Json>, ctx: &str, name: &str) -> Result<Self, String> {
+        j.and_then(Json::as_f64_exact)
+            .ok_or_else(|| missing(ctx, "number", name))
+    }
+}
+
+impl Field for String {
+    fn encode(&self, out: &mut String) {
+        write_str(out, self);
+    }
+    fn decode(j: Option<&Json>, ctx: &str, name: &str) -> Result<Self, String> {
+        j.and_then(Json::as_str)
+            .map(str::to_string)
+            .ok_or_else(|| missing(ctx, "string", name))
+    }
+}
+
+/// `None` is `null`, so the inner type must never encode as `null`.
+impl<T: Field> Field for Option<T> {
+    fn encode(&self, out: &mut String) {
+        match self {
+            Some(v) => v.encode(out),
+            None => out.push_str("null"),
+        }
+    }
+    fn decode(j: Option<&Json>, ctx: &str, name: &str) -> Result<Self, String> {
+        match j {
+            Some(Json::Null) => Ok(None),
+            j => T::decode(j, ctx, name).map(Some),
+        }
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn encode(&self, out: &mut String) {
+        out.push('[');
+        for (i, v) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            v.encode(out);
+        }
+        out.push(']');
+    }
+    fn decode(j: Option<&Json>, ctx: &str, name: &str) -> Result<Self, String> {
+        j.and_then(Json::as_arr)
+            .ok_or_else(|| missing(ctx, "array", name))?
+            .iter()
+            .map(|v| T::decode(Some(v), ctx, name))
+            .collect()
+    }
+}
+
+/// A borrowed value encodes as what it points to and decodes owned, so a
+/// record can write a value it does not own.
+impl<T: Field + Clone> Field for Cow<'_, T> {
+    fn encode(&self, out: &mut String) {
+        (**self).encode(out);
+    }
+    fn decode(j: Option<&Json>, ctx: &str, name: &str) -> Result<Self, String> {
+        T::decode(j, ctx, name).map(Cow::Owned)
+    }
+}
+
+/// Writes the members of one JSON object in order.
+pub struct Members<'a> {
+    out: &'a mut String,
+    /// `{` before the first member, `,` after it.
+    sep: char,
+}
+
+impl<'a> Members<'a> {
+    /// Starts an object on `out`; it needs at least one member.
+    pub fn open(out: &'a mut String) -> Self {
+        Members { out, sep: '{' }
+    }
+
+    /// Writes member `name`'s key and returns the buffer for its value.
+    pub fn member(&mut self, name: &str) -> &mut String {
+        self.out.push(self.sep);
+        self.sep = ',';
+        self.out.push('"');
+        self.out.push_str(name);
+        self.out.push_str("\":");
+        self.out
+    }
+
+    /// Ends the object.
+    pub fn close(self) {
+        self.out.push('}');
+    }
+}
+
+/// Member `name` of object `ctx` as the object a record decodes from.
+pub fn object<'a>(j: Option<&'a Json>, ctx: &str, name: &str) -> Result<&'a Json, String> {
+    j.filter(|j| matches!(j, Json::Obj(_)))
+        .ok_or_else(|| missing(ctx, "object", name))
+}
+
+/// Implements [`Field`](crate::json::Field) for a struct from its member
+/// list: members are written in the listed order and read back by key.
+///
+/// A member is a field name, then `as "key"` when its JSON key differs,
+/// and `with reader` when it must be read more strictly than its type's
+/// `Field` impl reads it (`reader(Option<&Json>, ctx, name)`). A trailing
+/// `via constructor` decodes through `Self::constructor(members…)`, a
+/// fallible constructor, instead of a struct literal. Decode errors name
+/// the member holding the record and the member that failed, e.g.
+/// `point: missing number "y"`.
+#[macro_export]
+macro_rules! record {
+    (
+        $ty:ty { $( $f:ident $(as $key:literal)? $(with $reader:ident)? ),+ $(,)? }
+        $(via $ctor:ident)?
+    ) => {
+        impl $crate::json::Field for $ty {
+            fn encode(&self, out: &mut String) {
+                let mut m = $crate::json::Members::open(out);
+                $(
+                    let key = $crate::record!(@key $f $($key)?);
+                    $crate::json::Field::encode(&self.$f, m.member(key));
+                )+
+                m.close();
+            }
+
+            fn decode(
+                j: Option<&$crate::json::Json>,
+                ctx: &str,
+                name: &str,
+            ) -> Result<Self, String> {
+                let j = $crate::json::object(j, ctx, name)?;
+                $(
+                    let key = $crate::record!(@key $f $($key)?);
+                    let $f = $crate::record!(@read [$($reader)?] j.get(key), name, key)?;
+                )+
+                $crate::record!(@build [$($ctor)?] name, $($f),+)
+            }
+        }
+    };
+    (@key $f:ident) => { stringify!($f) };
+    (@key $f:ident $key:literal) => { $key };
+    (@read [] $($arg:expr),+) => { $crate::json::Field::decode($($arg),+) };
+    (@read [$reader:ident] $($arg:expr),+) => { $reader($($arg),+) };
+    (@build [] $name:ident, $($f:ident),+) => { Ok(Self { $($f),+ }) };
+    (@build [$ctor:ident] $name:ident, $($f:ident),+) => {
+        Self::$ctor($($f),+).map_err(|e| format!("{}: {e}", $name))
+    };
 }
 
 /// Maximum container nesting the parser accepts. Deeper documents return
